@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/adversary"
@@ -46,7 +45,7 @@ type (
 	TopologySpec = topology.Spec
 )
 
-// Gossip protocol names accepted by GossipConfig.Protocol.
+// Gossip protocol names accepted by GossipSpec.Protocol.
 const (
 	ProtoTrivial           = core.NameTrivial
 	ProtoEARS              = core.NameEARS
@@ -72,7 +71,7 @@ const (
 	AdversaryPartition  = adversary.PresetPartition
 )
 
-// Consensus transport names accepted by ConsensusConfig.Transport.
+// Consensus transport names accepted by ConsensusSpec.Transport.
 const (
 	TransportDirect = string(consensus.TransportDirect)
 	TransportEARS   = string(consensus.TransportEARS)
@@ -96,7 +95,7 @@ const (
 // Topologies lists the topology family names.
 func Topologies() []string { return topology.Families() }
 
-// buildTopology resolves the Topology fields of a config into a graph
+// buildTopology resolves the Topology fields of a spec into a graph
 // (nil for the default complete graph, preserving legacy semantics and
 // random streams exactly).
 func buildTopology(family string, n int, param, param2 float64, seed int64) (topology.Graph, error) {
@@ -108,9 +107,9 @@ func buildTopology(family string, n int, param, param2 float64, seed int64) (top
 	})
 }
 
-// GossipConfig configures RunGossip. Zero values default to: EARS, the
-// standard oblivious adversary, d = δ = 1, no failures.
-type GossipConfig struct {
+// GossipSpec describes one gossip execution for Run. Zero values default
+// to: EARS, the standard oblivious adversary, d = δ = 1, no failures.
+type GossipSpec struct {
 	// Protocol is one of the Proto* constants.
 	Protocol string
 	// N is the number of processes (required).
@@ -132,10 +131,6 @@ type GossipConfig struct {
 	// in the result (intended for small N; the drawing is clipped at 160
 	// time steps).
 	Timeline bool
-	// Tracer, when non-nil, observes every simulation event (composes with
-	// Timeline). Attach a telemetry.Recorder or exporter here; tracers are
-	// observation-only and never change the run's outcome.
-	Tracer Tracer
 	// Topology is one of the Topo* constants; empty means the paper's
 	// complete graph (identical results to pre-topology runs for a fixed
 	// seed). Protocols sample targets from their neighborhoods and the
@@ -149,7 +144,9 @@ type GossipConfig struct {
 	TopologyParam2 float64
 }
 
-func (c GossipConfig) withDefaults() GossipConfig {
+func (GossipSpec) runSpec() {}
+
+func (c GossipSpec) withDefaults() GossipSpec {
 	if c.Protocol == "" {
 		c.Protocol = ProtoEARS
 	}
@@ -186,7 +183,7 @@ type GossipResult struct {
 	Crashed []int
 	// Rumors[p] lists the rumor origins known to process p at the end.
 	Rumors [][]int
-	// Timeline is the rendered space–time diagram (GossipConfig.Timeline).
+	// Timeline is the rendered space–time diagram (GossipSpec.Timeline).
 	Timeline string
 	// OffEdgeDrops counts sends dropped for lack of a topology edge
 	// (always 0 on the complete graph).
@@ -194,20 +191,6 @@ type GossipResult struct {
 	// OutOfRangeDrops counts sends dropped for an out-of-range target id
 	// (nonzero flags a protocol addressing processes that do not exist).
 	OutOfRangeDrops int64
-}
-
-// RunGossip simulates one gossip execution.
-//
-// Deprecated: use Run with a GossipSpec — Run(ctx, GossipSpec(cfg)) — which
-// is bit-identical and adds sharded execution, telemetry and lean-memory
-// options. This wrapper delegates to Run.
-func RunGossip(cfg GossipConfig) (*GossipResult, error) {
-	r, err := Run(context.Background(), GossipSpec(cfg))
-	var out *GossipResult
-	if r != nil {
-		out = r.Gossip
-	}
-	return out, err
 }
 
 func gossipProtoByName(name string) (core.Protocol, error) {
@@ -220,14 +203,15 @@ func gossipProtoByName(name string) (core.Protocol, error) {
 	return nil, fmt.Errorf("repro: unknown gossip protocol %q", name)
 }
 
-// ConsensusConfig configures RunConsensus. Zero values default to: the
-// tears transport, standard adversary, d = δ = 1, random inputs.
-type ConsensusConfig struct {
+// ConsensusSpec describes one consensus execution for Run. Zero values
+// default to: the tears transport, standard adversary, d = δ = 1, random
+// inputs.
+type ConsensusSpec struct {
 	// Transport is one of the Transport* constants.
 	Transport string
 	// N is the number of processes; F < N/2 the failure budget.
 	N, F int
-	// D, Delta as in GossipConfig.
+	// D, Delta as in GossipSpec.
 	D, Delta int
 	// Adversary is one of the Adversary* presets.
 	Adversary string
@@ -242,7 +226,7 @@ type ConsensusConfig struct {
 	// MaxSteps caps the run (0 = generous default).
 	MaxSteps int64
 	// Topology restricts communication to a graph family, as in
-	// GossipConfig. The gossip transports (ears/sears/tears) sample
+	// GossipSpec. The gossip transports (ears/sears/tears) sample
 	// within neighborhoods; the direct transport assumes the complete
 	// graph and will not reach consensus on sparse topologies.
 	Topology string
@@ -251,7 +235,9 @@ type ConsensusConfig struct {
 	TopologyParam2 float64
 }
 
-func (c ConsensusConfig) withDefaults() ConsensusConfig {
+func (ConsensusSpec) runSpec() {}
+
+func (c ConsensusSpec) withDefaults() ConsensusSpec {
 	if c.Transport == "" {
 		c.Transport = TransportTEARS
 	}
@@ -294,22 +280,10 @@ type ConsensusResult struct {
 	OffEdgeDrops int64
 }
 
-// RunConsensus simulates one consensus execution.
-//
-// Deprecated: use Run with a ConsensusSpec — Run(ctx, ConsensusSpec(cfg)) —
-// which is bit-identical and adds sharded execution, telemetry and
-// lean-memory options. This wrapper delegates to Run.
-func RunConsensus(cfg ConsensusConfig) (*ConsensusResult, error) {
-	r, err := Run(context.Background(), ConsensusSpec(cfg))
-	var out *ConsensusResult
-	if r != nil {
-		out = r.Consensus
-	}
-	return out, err
-}
-
-// LowerBoundConfig configures RunLowerBound.
-type LowerBoundConfig struct {
+// LowerBoundSpec runs the Theorem 1 adaptive adversary against a protocol
+// and reports which side of the Ω(n+f²) messages / Ω(f(d+δ)) time
+// dichotomy it forced.
+type LowerBoundSpec struct {
 	// Protocol is one of the asynchronous Proto* constants.
 	Protocol string
 	// N is the number of processes; F the failure budget (capped at N/4
@@ -321,76 +295,7 @@ type LowerBoundConfig struct {
 	Trials int
 }
 
-// RunLowerBound runs the Theorem 1 adaptive adversary against a protocol
-// and reports which side of the Ω(n+f²) messages / Ω(f(d+δ)) time
-// dichotomy it forced.
-//
-// Deprecated: use Run with a LowerBoundSpec — Run(ctx, LowerBoundSpec(cfg))
-// — which is identical. This wrapper delegates to Run.
-func RunLowerBound(cfg LowerBoundConfig) (LowerBoundReport, error) {
-	r, err := Run(context.Background(), LowerBoundSpec(cfg))
-	if err != nil {
-		return LowerBoundReport{}, err
-	}
-	return *r.LowerBound, nil
-}
-
-// Batch configures the deprecated batch runners RunGossipMany and
-// RunConsensusMany. The zero value runs on GOMAXPROCS workers without
-// cancellation. New code passes a context and WithWorkers to RunMany
-// instead of bundling them in a struct.
-type Batch struct {
-	// Workers caps concurrency (0 = GOMAXPROCS, 1 = serial). Every run is
-	// seeded from its own config, so results are identical for any value.
-	Workers int
-	// Context, when non-nil, cancels the batch: runs that have not started
-	// when it fires report the context's error.
-	Context context.Context
-}
-
-// RunGossipMany simulates one gossip execution per config, fanned across
-// the batch's worker pool. results[i] and errs[i] correspond to cfgs[i]
-// and are exactly what RunGossip(cfgs[i]) would have returned — simulations
-// share no state, so parallel batches reproduce serial loops bit for bit.
-//
-// Deprecated: use RunMany — RunMany(ctx, specs, WithWorkers(w)) — which
-// accepts any spec kind and a first-class context. This wrapper delegates
-// to RunMany.
-func RunGossipMany(b Batch, cfgs []GossipConfig) (results []*GossipResult, errs []error) {
-	specs := make([]GossipSpec, len(cfgs))
-	for i, cfg := range cfgs {
-		specs[i] = GossipSpec(cfg)
-	}
-	rs, errs := RunMany(b.Context, specs, WithWorkers(b.Workers))
-	results = make([]*GossipResult, len(rs))
-	for i, r := range rs {
-		if r != nil {
-			results[i] = r.Gossip
-		}
-	}
-	return results, errs
-}
-
-// RunConsensusMany simulates one consensus execution per config, fanned
-// across the batch's worker pool; results and errors are positional, as in
-// RunGossipMany.
-//
-// Deprecated: use RunMany — RunMany(ctx, specs, WithWorkers(w)). This
-// wrapper delegates to RunMany.
-func RunConsensusMany(b Batch, cfgs []ConsensusConfig) (results []*ConsensusResult, errs []error) {
-	specs := make([]ConsensusSpec, len(cfgs))
-	for i, cfg := range cfgs {
-		specs[i] = ConsensusSpec(cfg)
-	}
-	rs, errs := RunMany(b.Context, specs, WithWorkers(b.Workers))
-	results = make([]*ConsensusResult, len(rs))
-	for i, r := range rs {
-		if r != nil {
-			results[i] = r.Consensus
-		}
-	}
-	return results, errs
-}
+func (LowerBoundSpec) runSpec() {}
 
 // Scenario-fuzzing aliases: the deterministic simulation-fuzzing engine
 // behind cmd/fuzz, exposed for embedding (see doc.go and internal/scenario).
@@ -408,48 +313,28 @@ type (
 	FuzzSummary = scenario.Summary
 )
 
-// FuzzOptions configures RunFuzz. The summary is a pure function of
-// (Seed, FirstIndex, Runs): Workers only changes wall-clock time.
-type FuzzOptions struct {
+// FuzzSpec runs one deterministic scenario-fuzzing session: random
+// adversary/topology/protocol scenarios drawn from the seed, every
+// execution checked against the invariant-oracle catalog, and every
+// violation shrunk to a minimized, replayable ScenarioReport. The summary
+// is a pure function of (Seed, FirstIndex, Runs); cancellation and
+// concurrency come from Run's context and WithWorkers.
+type FuzzSpec struct {
 	// Runs is the number of scenarios to generate and execute.
 	Runs int
 	// Seed keys the scenario stream.
 	Seed int64
 	// FirstIndex offsets into the stream (resume/partition sessions).
 	FirstIndex int64
-	// Workers caps concurrency (0 = GOMAXPROCS, 1 = serial).
-	Workers int
 	// ShrinkBudget bounds re-executions spent minimizing each failure
 	// (0 = the engine default).
 	ShrinkBudget int
-	// Context, when non-nil, cancels the session; scenarios that never
-	// started are counted in Summary.Skipped.
-	Context context.Context
 }
 
-// RunFuzz executes one deterministic scenario-fuzzing session: random
-// adversary/topology/protocol scenarios drawn from the seed, every
-// execution checked against the invariant-oracle catalog, and every
-// violation shrunk to a minimized, replayable ScenarioReport.
-//
-// Deprecated: use Run with a FuzzSpec — Run(ctx, FuzzSpec{...},
-// WithWorkers(w)) — which takes cancellation and concurrency first-class.
-// This wrapper delegates to Run.
-func RunFuzz(opts FuzzOptions) (*FuzzSummary, error) {
-	r, err := Run(opts.Context, FuzzSpec{
-		Runs:         opts.Runs,
-		Seed:         opts.Seed,
-		FirstIndex:   opts.FirstIndex,
-		ShrinkBudget: opts.ShrinkBudget,
-	}, WithWorkers(opts.Workers))
-	if err != nil {
-		return nil, err
-	}
-	return r.Fuzz, nil
-}
+func (FuzzSpec) runSpec() {}
 
 // GenerateScenario derives the index-th scenario of a master seed's
-// stream — the same pure function RunFuzz iterates, exposed so callers
+// stream — the same pure function a FuzzSpec session iterates, exposed so callers
 // can inspect or re-execute individual scenarios.
 func GenerateScenario(seed, index int64) ScenarioSpec {
 	return scenario.Generate(seed, index)

@@ -1,16 +1,17 @@
 package repro
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
 
-// TestRunGossipDeterministic: the same GossipConfig (same Seed) yields an
+// TestRunGossipDeterministic: the same GossipSpec (same Seed) yields an
 // identical GossipResult across invocations — guarding the RNG plumbing
 // (node streams, adversary streams, topology generation) against
 // accidental nondeterminism such as map-iteration ordering.
 func TestRunGossipDeterministic(t *testing.T) {
-	configs := []GossipConfig{
+	specs := []GossipSpec{
 		{Protocol: ProtoEARS, N: 48, F: 12, D: 2, Delta: 2, Seed: 11},
 		{Protocol: ProtoSEARS, N: 48, F: 12, Seed: 11},
 		{Protocol: ProtoTEARS, N: 64, F: 16, Seed: 11},
@@ -18,35 +19,35 @@ func TestRunGossipDeterministic(t *testing.T) {
 		{Protocol: ProtoEARS, N: 48, Seed: 11, Topology: TopoBarabasiAlbert},
 		{Protocol: ProtoTEARS, N: 48, Seed: 11, Topology: TopoRandomRegular},
 	}
-	for _, cfg := range configs {
-		a, errA := RunGossip(cfg)
-		b, errB := RunGossip(cfg)
+	for _, spec := range specs {
+		a, errA := Run(context.Background(), spec)
+		b, errB := Run(context.Background(), spec)
 		if (errA == nil) != (errB == nil) {
-			t.Fatalf("%s/%s: error mismatch: %v vs %v", cfg.Protocol, cfg.Topology, errA, errB)
+			t.Fatalf("%s/%s: error mismatch: %v vs %v", spec.Protocol, spec.Topology, errA, errB)
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s on %q: results differ across identical runs:\n%+v\n%+v",
-				cfg.Protocol, cfg.Topology, a, b)
+				spec.Protocol, spec.Topology, a.Gossip, b.Gossip)
 		}
 	}
 }
 
-// TestRunConsensusDeterministic: same for RunConsensus.
+// TestRunConsensusDeterministic: same for ConsensusSpec runs.
 func TestRunConsensusDeterministic(t *testing.T) {
-	configs := []ConsensusConfig{
+	specs := []ConsensusSpec{
 		{Transport: TransportTEARS, N: 32, F: 7, Seed: 13},
 		{Transport: TransportDirect, N: 32, F: 7, Seed: 13},
 		{Transport: TransportEARS, N: 32, F: 7, Seed: 13, Topology: TopoErdosRenyi},
 	}
-	for _, cfg := range configs {
-		a, errA := RunConsensus(cfg)
-		b, errB := RunConsensus(cfg)
+	for _, spec := range specs {
+		a, errA := Run(context.Background(), spec)
+		b, errB := Run(context.Background(), spec)
 		if (errA == nil) != (errB == nil) {
-			t.Fatalf("CR-%s/%s: error mismatch: %v vs %v", cfg.Transport, cfg.Topology, errA, errB)
+			t.Fatalf("CR-%s/%s: error mismatch: %v vs %v", spec.Transport, spec.Topology, errA, errB)
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("CR-%s on %q: results differ across identical runs:\n%+v\n%+v",
-				cfg.Transport, cfg.Topology, a, b)
+				spec.Transport, spec.Topology, a.Consensus, b.Consensus)
 		}
 	}
 }

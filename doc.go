@@ -23,9 +23,9 @@
 //     informed bit and a send budget per process, the O(1)-state
 //     workload the asynchronous push-pull literature analyzes), and
 //     sum-weight averaging (ProtoAverage — push-sum over (sum, weight)
-//     pairs until every estimate is within GossipConfig.AvgEpsilon of
-//     the true mean; crash-free by construction, since crashes destroy
-//     mass).
+//     pairs until every estimate is within ProtocolParams.AvgEpsilon
+//     (set through GossipSpec.Tuning) of the true mean; crash-free by
+//     construction, since crashes destroy mass).
 //
 //   - ConsensusSpec simulates randomized binary consensus in the
 //     Canetti–Rabin framework (§6) with get-core realized by all-to-all
@@ -80,13 +80,8 @@
 // is bit-identical to serial. DeriveSeed exposes its seed policy for
 // callers building their own sweeps.
 //
-// The pre-Run entry points (RunGossip, RunConsensus, RunLowerBound,
-// RunFuzz, RunGossipMany, RunConsensusMany) remain as deprecated thin
-// wrappers with zero behavior change; the API-equivalence test suite pins
-// each wrapper bit-identical to its Run translation.
-//
-// Every run accepts a communication topology (GossipConfig.Topology,
-// ConsensusConfig.Topology, the Topo* constants): the default is the
+// Every run accepts a communication topology (GossipSpec.Topology,
+// ConsensusSpec.Topology, the Topo* constants): the default is the
 // paper's complete graph — reproducing the original model and its results
 // exactly — while the generated families (ring, torus, random-regular,
 // erdos-renyi, watts-strogatz, barabasi-albert) restrict every protocol to

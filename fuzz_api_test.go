@@ -10,14 +10,16 @@ import (
 // clean session on the default stream, reproducibly, and parallel equals
 // serial (the library-level face of the cmd/fuzz acceptance contract).
 func TestRunFuzzCleanAndDeterministic(t *testing.T) {
-	a, err := RunFuzz(FuzzOptions{Runs: 60, Seed: 1, Workers: 1})
+	spec := FuzzSpec{Runs: 60, Seed: 1}
+	ra, err := Run(context.Background(), spec, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFuzz(FuzzOptions{Runs: 60, Seed: 1, Workers: 4})
+	rb, err := Run(context.Background(), spec, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := ra.Fuzz, rb.Fuzz
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("parallel fuzz session differs from serial:\n%+v\n%+v", a, b)
 	}
@@ -34,10 +36,11 @@ func TestRunFuzzCleanAndDeterministic(t *testing.T) {
 func TestRunFuzzCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sum, err := RunFuzz(FuzzOptions{Runs: 10, Seed: 1, Context: ctx})
+	r, err := Run(ctx, FuzzSpec{Runs: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := r.Fuzz
 	if sum.Skipped != 10 || sum.Runs != 0 {
 		t.Fatalf("cancelled session: runs=%d skipped=%d", sum.Runs, sum.Skipped)
 	}
@@ -45,7 +48,7 @@ func TestRunFuzzCancellation(t *testing.T) {
 
 // TestGenerateScenario: the stream is pure in (seed, index) and the specs
 // it yields execute through the public gossip runner's protocol registry
-// (every generated protocol name is accepted by RunGossip).
+// (every generated protocol name is accepted by a GossipSpec run).
 func TestGenerateScenario(t *testing.T) {
 	if !reflect.DeepEqual(GenerateScenario(3, 9), GenerateScenario(3, 9)) {
 		t.Fatal("GenerateScenario is not deterministic")

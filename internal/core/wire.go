@@ -180,10 +180,24 @@ func appendSetBitmap(dst []byte, s *bitset.Set, n int) []byte {
 	return dst
 }
 
+// padMask selects the unused high bits of the last byte of an n-bit
+// bitmap (0 when n is a multiple of 8). A canonical encoding leaves them
+// zero, and decoders reject anything else so decoding stays the exact
+// inverse of encoding.
+func padMask(n int) byte {
+	if n%8 == 0 {
+		return 0
+	}
+	return ^byte(0) << (n % 8)
+}
+
 func decodeSetBitmap(src []byte, n int) (*bitset.Set, []byte, error) {
 	nb := (n + 7) / 8
 	if len(src) < nb {
 		return nil, nil, fmt.Errorf("core: rumor bitmap truncated (%d of %d bytes)", len(src), nb)
+	}
+	if pad := padMask(n); pad != 0 && src[nb-1]&pad != 0 {
+		return nil, nil, fmt.Errorf("core: rumor bitmap sets padding bits beyond universe %d", n)
 	}
 	s := bitset.New(n)
 	for i := 0; i < n; i++ {
@@ -216,9 +230,13 @@ func decodeMatrixBitmap(src []byte, n int) (*bitset.Matrix, []byte, error) {
 	if len(src) < need {
 		return nil, nil, fmt.Errorf("core: informed matrix truncated (%d of %d bytes)", len(src), need)
 	}
+	pad := padMask(n)
 	m := bitset.NewMatrix(n)
 	for row := 0; row < n; row++ {
 		base := row * rowBytes
+		if pad != 0 && src[base+rowBytes-1]&pad != 0 {
+			return nil, nil, fmt.Errorf("core: informed matrix row %d sets padding bits beyond universe %d", row, n)
+		}
 		for col := 0; col < n; col++ {
 			if src[base+col/8]&(1<<(col%8)) != 0 {
 				m.Set(row, col)

@@ -98,6 +98,41 @@ func TestPayloadWireRejectsCorruption(t *testing.T) {
 	}
 }
 
+// A bitmap over a universe that is not a multiple of 8 has unused high
+// bits in its last byte (per row, for the informed matrix). A set padding
+// bit has no meaning, so decoding it would break encode∘decode = id: the
+// decoder must reject it.
+func TestPayloadWireRejectsPaddingBits(t *testing.T) {
+	const n = 13 // two bytes per bitmap, bits 5..7 of the second are padding
+	set := bitset.New(n)
+	set.Add(12)
+	m := bitset.NewMatrix(n)
+	m.Set(4, 12)
+	enc, err := AppendPayload(nil, NewWireGossipPayload(&Rumors{Set: set}, m, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodePayload(enc); err != nil {
+		t.Fatalf("canonical frame rejected: %v", err)
+	}
+	const header, rowBytes = 7, 2 // version, kind, flags, 4-byte universe
+	padded := map[string]int{
+		"rumor bitmap":      header + rowBytes - 1,
+		"first matrix row":  header + rowBytes + rowBytes - 1,
+		"middle matrix row": header + rowBytes + 5*rowBytes - 1,
+		"last matrix row":   header + rowBytes + n*rowBytes - 1,
+	}
+	for where, at := range padded {
+		for bit := n % 8; bit < 8; bit++ {
+			bad := append([]byte(nil), enc...)
+			bad[at] |= 1 << bit
+			if _, err := DecodePayload(bad); err == nil {
+				t.Errorf("%s: padding bit %d accepted", where, bit)
+			}
+		}
+	}
+}
+
 func TestPayloadWireRejectsUnsupported(t *testing.T) {
 	if _, err := AppendPayload(nil, struct{ X int }{1}); err == nil {
 		t.Error("arbitrary payload type encoded")

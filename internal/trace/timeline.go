@@ -2,7 +2,7 @@
 // diagrams: one row per process, one column per time step. It makes the
 // model tangible — adversarial scheduling gaps, delayed deliveries, crash
 // points and the quiescence tail are all visible at a glance — and is
-// wired into the public API (GossipConfig.Timeline) and gossipsim's
+// wired into the public API (GossipSpec.Timeline) and gossipsim's
 // -timeline flag for small runs.
 package trace
 

@@ -6,6 +6,7 @@ package repro
 // to an unpooled run, event for event, for every protocol and topology.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -40,7 +41,7 @@ func (t *eventTracer) OnCrash(p isim.ProcID, at isim.Time) {
 
 // runTraced runs one gossip execution with an event tracer and returns the
 // result plus the full event log.
-func runTraced(t *testing.T, cfg GossipConfig, pool bool) (*GossipResult, []string) {
+func runTraced(t *testing.T, cfg GossipSpec, pool bool) (*GossipResult, []string) {
 	t.Helper()
 	proto, err := icore.ByName(cfg.Protocol)
 	if err != nil {
@@ -93,7 +94,7 @@ func runTraced(t *testing.T, cfg GossipConfig, pool bool) (*GossipResult, []stri
 func TestPooledKernelMatchesUnpooled(t *testing.T) {
 	for _, proto := range []string{ProtoTrivial, ProtoEARS, ProtoSEARS, ProtoTEARS, "naive"} {
 		for _, seed := range []int64{1, 7, 42} {
-			cfg := GossipConfig{
+			cfg := GossipSpec{
 				Protocol: proto, N: 48, F: 12, D: 2, Delta: 2,
 				Adversary: AdversaryStandard, Seed: seed,
 			}
@@ -117,24 +118,25 @@ func TestPooledKernelMatchesUnpooled(t *testing.T) {
 	}
 }
 
-// TestPooledRunsAPIEquivalence checks the public entry point: RunGossip
-// with an explicit shared pool (as the benchmarks use), with the default
-// per-run pool, and with pooling disabled must all agree — including
-// across repeated reuse of one pool, which exercises recycled buffers.
+// TestPooledRunsAPIEquivalence checks the public entry point: Run with an
+// explicit shared pool, with the default per-run pool, and with pooling
+// disabled must all agree — including across repeated reuse of one pool,
+// which exercises recycled buffers.
 func TestPooledRunsAPIEquivalence(t *testing.T) {
+	ctx := context.Background()
 	for _, proto := range []string{ProtoEARS, ProtoTEARS, ProtoSyncEpidemic} {
 		pool := icore.NewPool(40)
 		for _, seed := range []int64{3, 9} {
-			base := GossipConfig{Protocol: proto, N: 40, F: 10, D: 2, Delta: 2, Seed: seed}
+			base := GossipSpec{Protocol: proto, N: 40, F: 10, D: 2, Delta: 2, Seed: seed}
 
-			defaultPool, err := RunGossip(base)
+			defaultPool, err := Run(ctx, base)
 			if err != nil {
 				t.Fatalf("%s: %v", proto, err)
 			}
 
 			noPool := base
 			noPool.Tuning.NoPool = true
-			unpooled, err := RunGossip(noPool)
+			unpooled, err := Run(ctx, noPool)
 			if err != nil {
 				t.Fatalf("%s: %v", proto, err)
 			}
@@ -143,10 +145,10 @@ func TestPooledRunsAPIEquivalence(t *testing.T) {
 			shared.Tuning.Pool = pool
 			// Two sequential runs on the same pool: the second consumes
 			// recycled storage from the first.
-			if _, err := RunGossip(shared); err != nil {
+			if _, err := Run(ctx, shared); err != nil {
 				t.Fatalf("%s: %v", proto, err)
 			}
-			reused, err := RunGossip(shared)
+			reused, err := Run(ctx, shared)
 			if err != nil {
 				t.Fatalf("%s: %v", proto, err)
 			}

@@ -22,43 +22,6 @@ type Spec interface {
 	runSpec()
 }
 
-// GossipSpec describes one gossip execution for Run. It has exactly the
-// fields of GossipConfig (a plain conversion moves between them), so every
-// legacy configuration is a valid spec: Run(ctx, GossipSpec(cfg)) is the
-// modern spelling of RunGossip(cfg), bit for bit.
-type GossipSpec GossipConfig
-
-func (GossipSpec) runSpec() {}
-
-// ConsensusSpec describes one consensus execution for Run; it converts
-// to/from ConsensusConfig the same way GossipSpec converts to/from
-// GossipConfig.
-type ConsensusSpec ConsensusConfig
-
-func (ConsensusSpec) runSpec() {}
-
-// LowerBoundSpec runs the Theorem 1 adaptive adversary (see RunLowerBound).
-type LowerBoundSpec LowerBoundConfig
-
-func (LowerBoundSpec) runSpec() {}
-
-// FuzzSpec runs a deterministic scenario-fuzzing session (see RunFuzz).
-// Cancellation and concurrency come from Run's context and WithWorkers
-// instead of option fields.
-type FuzzSpec struct {
-	// Runs is the number of scenarios to generate and execute.
-	Runs int
-	// Seed keys the scenario stream.
-	Seed int64
-	// FirstIndex offsets into the stream (resume/partition sessions).
-	FirstIndex int64
-	// ShrinkBudget bounds re-executions spent minimizing each failure
-	// (0 = the engine default).
-	ShrinkBudget int
-}
-
-func (FuzzSpec) runSpec() {}
-
 // TelemetryRecorder is the streaming per-run metrics aggregator (O(1) per
 // event, mergeable across runs and shards): attach one with WithTelemetry
 // and read its Snapshot after Run returns.
@@ -91,6 +54,17 @@ func buildOptions(opts []Option) runOptions {
 	return o
 }
 
+// observers composes a run's event observers into one tracer, nil when
+// there are none: extra (the engine's own, e.g. the gossip Timeline)
+// first, then WithTracer, then WithTelemetry.
+func (o runOptions) observers(extra Tracer) Tracer {
+	var rec Tracer
+	if o.telemetry != nil {
+		rec = o.telemetry // a nil *TelemetryRecorder must not become a non-nil Tracer
+	}
+	return sim.Tee(extra, o.tracer, rec)
+}
+
 // WithShards executes a gossip or consensus run as s deterministic
 // supersteps over contiguous id-range shards (see sim.Config.Shards).
 // Output is bit-identical for every shard count; 0 and 1 select the serial
@@ -109,7 +83,7 @@ func WithWorkers(w int) Option {
 }
 
 // WithTracer attaches an event tracer to a gossip or consensus run,
-// composing with any tracer already present in the spec. Tracers are
+// composing with the gossip Timeline and WithTelemetry. Tracers are
 // observation-only. Sharded runs invoke the tracer in exact serial event
 // order, from one goroutine.
 func WithTracer(t Tracer) Option {
@@ -146,9 +120,7 @@ type RunResult struct {
 }
 
 // Run executes one specification and returns its typed result. It is the
-// single entry point of the library: the legacy RunGossip, RunConsensus,
-// RunGossipMany, RunConsensusMany, RunLowerBound and RunFuzz are thin
-// deprecated wrappers over it and produce identical results.
+// single entry point of the library; RunMany fans it across a batch.
 //
 // The context cancels what is cancellable: a FuzzSpec session observes it
 // between scenarios, and an already-cancelled context aborts any run
@@ -170,16 +142,10 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*RunResult, error) {
 	switch s := spec.(type) {
 	case GossipSpec:
 		g, err := runGossipSpec(s, o)
-		if err != nil {
-			return &RunResult{Gossip: g}, err
-		}
-		return &RunResult{Gossip: g}, nil
+		return &RunResult{Gossip: g}, err
 	case ConsensusSpec:
 		c, err := runConsensusSpec(s, o)
-		if err != nil {
-			return &RunResult{Consensus: c}, err
-		}
-		return &RunResult{Consensus: c}, nil
+		return &RunResult{Consensus: c}, err
 	case LowerBoundSpec:
 		rep, err := runLowerBoundSpec(s)
 		if err != nil {
@@ -243,41 +209,41 @@ func RunMany[S Spec](ctx context.Context, specs []S, opts ...Option) (results []
 	return results, errs
 }
 
-// runGossipSpec is the gossip engine behind Run and RunGossip.
+// runGossipSpec is the gossip engine behind Run.
 func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
-	cfg := GossipConfig(spec).withDefaults()
-	proto, err := gossipProtoByName(cfg.Protocol)
+	spec = spec.withDefaults()
+	proto, err := gossipProtoByName(spec.Protocol)
 	if err != nil {
 		return nil, err
 	}
-	p := cfg.Tuning
-	p.N, p.F = cfg.N, cfg.F
+	p := spec.Tuning
+	p.N, p.F = spec.N, spec.F
 	if o.shards != 0 {
 		p.Shards = o.shards
 	}
 	if o.lean {
 		p.Lean = true
 	}
-	graph, err := buildTopology(cfg.Topology, cfg.N, cfg.TopologyParam, cfg.TopologyParam2, cfg.Seed)
+	graph, err := buildTopology(spec.Topology, spec.N, spec.TopologyParam, spec.TopologyParam2, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
 	if graph != nil {
 		p.Graph = graph
 	}
-	nodes, err := core.NewNodes(proto, p, cfg.Seed)
+	nodes, err := core.NewNodes(proto, p, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
 	simCfg := sim.Config{
-		N: cfg.N, F: cfg.F,
-		D: sim.Time(cfg.D), Delta: sim.Time(cfg.Delta),
-		Seed: cfg.Seed, MaxSteps: sim.Time(cfg.MaxSteps),
+		N: spec.N, F: spec.F,
+		D: sim.Time(spec.D), Delta: sim.Time(spec.Delta),
+		Seed: spec.Seed, MaxSteps: sim.Time(spec.MaxSteps),
 		Graph:        graph,
 		Shards:       o.shards,
 		ShardWorkers: o.workers,
 	}
-	adv, err := adversary.ByName(cfg.Adversary, simCfg)
+	adv, err := adversary.ByName(spec.Adversary, simCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -286,18 +252,12 @@ func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 		return nil, err
 	}
 	var tl *trace.Timeline
-	tracer := cfg.Tracer
-	if cfg.Timeline {
-		tl = trace.NewTimeline(cfg.N, 160)
-		tracer = sim.Tee(tl, tracer)
+	var timeline Tracer
+	if spec.Timeline {
+		tl = trace.NewTimeline(spec.N, 160)
+		timeline = tl
 	}
-	if o.tracer != nil {
-		tracer = sim.Tee(tracer, o.tracer)
-	}
-	if o.telemetry != nil {
-		tracer = sim.Tee(tracer, o.telemetry)
-	}
-	if tracer != nil {
+	if tracer := o.observers(timeline); tracer != nil {
 		w.SetTracer(tracer)
 	}
 	res, runErr := w.Run(proto.Evaluator(p.WithDefaults()))
@@ -314,7 +274,7 @@ func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 	if tl != nil {
 		out.Timeline = tl.Render()
 	}
-	for q := 0; q < cfg.N; q++ {
+	for q := 0; q < spec.N; q++ {
 		if !w.Alive(sim.ProcID(q)) {
 			out.Crashed = append(out.Crashed, q)
 		}
@@ -322,7 +282,7 @@ func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 	if !o.lean {
 		// Materializing Rumors is Θ(n²); lean runs skip it so results of
 		// very large sweeps stay O(n).
-		for q := 0; q < cfg.N; q++ {
+		for q := 0; q < spec.N; q++ {
 			if h, ok := nodes[q].(core.RumorHolder); ok {
 				out.Rumors = append(out.Rumors, h.RumorSet().Elements())
 			} else {
@@ -336,44 +296,44 @@ func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 	return out, nil
 }
 
-// runConsensusSpec is the consensus engine behind Run and RunConsensus.
+// runConsensusSpec is the consensus engine behind Run.
 func runConsensusSpec(spec ConsensusSpec, o runOptions) (*ConsensusResult, error) {
-	cfg := ConsensusConfig(spec).withDefaults()
+	spec = spec.withDefaults()
 	p := consensus.Params{
-		N: cfg.N, F: cfg.F,
-		Transport: consensus.TransportKind(cfg.Transport),
-		Gossip:    cfg.Tuning,
+		N: spec.N, F: spec.F,
+		Transport: consensus.TransportKind(spec.Transport),
+		Gossip:    spec.Tuning,
 	}
 	if o.lean {
 		p.Gossip.Lean = true
 	}
-	graph, err := buildTopology(cfg.Topology, cfg.N, cfg.TopologyParam, cfg.TopologyParam2, cfg.Seed)
+	graph, err := buildTopology(spec.Topology, spec.N, spec.TopologyParam, spec.TopologyParam2, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
 	if graph != nil {
 		p.Gossip.Graph = graph
 	}
-	if cfg.LocalCoin {
-		p.Coin = consensus.NewLocalCoin(cfg.Seed)
+	if spec.LocalCoin {
+		p.Coin = consensus.NewLocalCoin(spec.Seed)
 	}
-	inputs := cfg.Inputs
+	inputs := spec.Inputs
 	if inputs == nil {
-		inputs = consensus.RandomInputs(cfg.N, cfg.Seed)
+		inputs = consensus.RandomInputs(spec.N, spec.Seed)
 	}
-	nodes, err := consensus.NewNodes(p, inputs, cfg.Seed)
+	nodes, err := consensus.NewNodes(p, inputs, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
 	simCfg := sim.Config{
-		N: cfg.N, F: cfg.F,
-		D: sim.Time(cfg.D), Delta: sim.Time(cfg.Delta),
-		Seed: cfg.Seed, MaxSteps: sim.Time(cfg.MaxSteps),
+		N: spec.N, F: spec.F,
+		D: sim.Time(spec.D), Delta: sim.Time(spec.Delta),
+		Seed: spec.Seed, MaxSteps: sim.Time(spec.MaxSteps),
 		Graph:        graph,
 		Shards:       o.shards,
 		ShardWorkers: o.workers,
 	}
-	adv, err := adversary.ByName(cfg.Adversary, simCfg)
+	adv, err := adversary.ByName(spec.Adversary, simCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +341,7 @@ func runConsensusSpec(spec ConsensusSpec, o runOptions) (*ConsensusResult, error
 	if err != nil {
 		return nil, err
 	}
-	if tracer := teeTracers(o.tracer, o.telemetry); tracer != nil {
+	if tracer := o.observers(nil); tracer != nil {
 		w.SetTracer(tracer)
 	}
 	res, runErr := w.Run(consensus.Evaluator{Inputs: inputs})
@@ -395,7 +355,7 @@ func runConsensusSpec(spec ConsensusSpec, o runOptions) (*ConsensusResult, error
 		Inputs:       inputs,
 		OffEdgeDrops: res.OffEdgeDrops,
 	}
-	for q := 0; q < cfg.N; q++ {
+	for q := 0; q < spec.N; q++ {
 		cn := nodes[q].(*consensus.Node)
 		if decided, v, _ := cn.Decided(); decided {
 			out.Decision = v
@@ -410,7 +370,7 @@ func runConsensusSpec(spec ConsensusSpec, o runOptions) (*ConsensusResult, error
 	return out, nil
 }
 
-// runLowerBoundSpec is the Theorem 1 engine behind Run and RunLowerBound.
+// runLowerBoundSpec is the Theorem 1 engine behind Run.
 func runLowerBoundSpec(spec LowerBoundSpec) (LowerBoundReport, error) {
 	if spec.Protocol == "" {
 		spec.Protocol = ProtoEARS
@@ -422,15 +382,4 @@ func runLowerBoundSpec(spec LowerBoundSpec) (LowerBoundReport, error) {
 	return lowerbound.Run(proto, core.Params{}, lowerbound.Config{
 		N: spec.N, F: spec.F, Seed: spec.Seed, Trials: spec.Trials,
 	})
-}
-
-// teeTracers composes an optional tracer and telemetry recorder.
-func teeTracers(t Tracer, rec *TelemetryRecorder) Tracer {
-	if rec == nil {
-		return t
-	}
-	if t == nil {
-		return rec
-	}
-	return sim.Tee(t, rec)
 }

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -11,18 +12,19 @@ import (
 // (ears, n=64, f=16, d=δ=2, standard adversary, seed 7). If this test
 // fails, the topology refactor changed the protocols' random streams.
 func TestTopologyCompleteIdentity(t *testing.T) {
-	base := GossipConfig{Protocol: ProtoEARS, N: 64, F: 16, D: 2, Delta: 2, Seed: 7}
+	base := GossipSpec{Protocol: ProtoEARS, N: 64, F: 16, D: 2, Delta: 2, Seed: 7}
 	withTopo := base
 	withTopo.Topology = TopoComplete
 
-	a, err := RunGossip(base)
+	ra, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunGossip(withTopo)
+	rb, err := Run(context.Background(), withTopo)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := ra.Gossip, rb.Gossip
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("complete topology diverges from default:\n%+v\n%+v", a, b)
 	}
@@ -38,10 +40,11 @@ func TestTopologyCompleteIdentity(t *testing.T) {
 // off-edge drops (the protocol samples strictly inside neighborhoods).
 func TestTopologyEARSCompletes(t *testing.T) {
 	for _, topo := range []string{TopoRing, TopoErdosRenyi} {
-		res, err := RunGossip(GossipConfig{Protocol: ProtoEARS, N: 256, Seed: 1, Topology: topo})
+		r, err := Run(context.Background(), GossipSpec{Protocol: ProtoEARS, N: 256, Seed: 1, Topology: topo})
 		if err != nil {
 			t.Fatalf("%s: %v", topo, err)
 		}
+		res := r.Gossip
 		if !res.Completed {
 			t.Fatalf("%s: not completed: %+v", topo, res)
 		}
@@ -60,11 +63,11 @@ func TestTopologyEARSCompletes(t *testing.T) {
 // completes full gossip on all of them at a modest size.
 func TestTopologyAllFamilies(t *testing.T) {
 	for _, topo := range Topologies() {
-		res, err := RunGossip(GossipConfig{Protocol: ProtoEARS, N: 48, Seed: 3, Topology: topo})
+		r, err := Run(context.Background(), GossipSpec{Protocol: ProtoEARS, N: 48, Seed: 3, Topology: topo})
 		if err != nil {
 			t.Fatalf("%s: %v", topo, err)
 		}
-		if !res.Completed {
+		if !r.Gossip.Completed {
 			t.Fatalf("%s: not completed", topo)
 		}
 	}
@@ -73,24 +76,24 @@ func TestTopologyAllFamilies(t *testing.T) {
 // TestTopologyUnknownRejected: a bad family name errors, listing nothing
 // run.
 func TestTopologyUnknownRejected(t *testing.T) {
-	if _, err := RunGossip(GossipConfig{N: 8, Topology: "hypercube-of-doom"}); err == nil {
+	if _, err := Run(context.Background(), GossipSpec{N: 8, Topology: "hypercube-of-doom"}); err == nil {
 		t.Fatal("unknown topology accepted")
 	}
-	if _, err := RunConsensus(ConsensusConfig{N: 8, F: 3, Topology: "hypercube-of-doom"}); err == nil {
-		t.Fatal("unknown topology accepted by RunConsensus")
+	if _, err := Run(context.Background(), ConsensusSpec{N: 8, F: 3, Topology: "hypercube-of-doom"}); err == nil {
+		t.Fatal("unknown topology accepted by a consensus run")
 	}
 }
 
 // TestTopologyConsensus: consensus over the ears transport decides on a
 // (repaired, connected) Erdős–Rényi topology.
 func TestTopologyConsensus(t *testing.T) {
-	res, err := RunConsensus(ConsensusConfig{
+	r, err := Run(context.Background(), ConsensusSpec{
 		Transport: TransportEARS, N: 32, F: 7, Seed: 2, Topology: TopoErdosRenyi,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed {
-		t.Fatalf("consensus on erdos-renyi did not complete: %+v", res)
+	if !r.Consensus.Completed {
+		t.Fatalf("consensus on erdos-renyi did not complete: %+v", r.Consensus)
 	}
 }
