@@ -154,7 +154,7 @@ func loadSpec(path, proto string, n, f int, seed int64) (scenario.Spec, error) {
 	// naive is the ablation that legitimately fails; averaging with
 	// crashes destroys mass, so only the crash-free case promises the mean.
 	spec.ExpectComplete = proto != core.NameNaive &&
-		!(scenario.IsAveragingProtocol(proto) && f > 0)
+		!(proto == core.NameAverage && f > 0)
 	return spec, spec.Validate()
 }
 

@@ -153,23 +153,24 @@
 // # Live cluster
 //
 // The protocols are genuine asynchronous message-passing algorithms, so
-// beyond the simulator they run in two live shapes sharing the same
-// sim.Node code: internal/live (one goroutine per process, channels as
-// links, credit-counting termination) and internal/cluster — a real
-// networked deployment where every node owns a loopback TCP listener and
-// protocol payloads travel as versioned binary envelopes. cmd/cluster
+// beyond the simulator they run, on the same sim.Node code, in
+// internal/cluster — a real networked deployment where every node owns a
+// loopback TCP listener and protocol payloads travel as versioned binary
+// envelopes (consensus stays simulator-only: the codec carries no
+// consensus payloads). cmd/cluster
 // replays a scenario spec (a bare spec, a fuzz corpus entry, or a fuzz
 // report) over such a cluster, one OS process per node by default or
 // -inproc for CI; nodes join a registry control plane, discover peers
 // via heartbeats, and the driver detects quiescence by distributed
 // credit counting over heartbeat counters. Finished runs are judged by a
 // live-adapted subset of the fuzzer's oracle catalog (crash budget,
-// validity, completion, message/time envelopes with wall-clock slack,
+// validity and completion — the simulator's own judgments over the nodes'
+// reports — message/time envelopes with wall-clock slack,
 // off-edge, post-crash silence, credit balance) and distilled into a
 // schema-versioned repro.bench.live/v1 artifact with real
 // delivery-latency percentiles; -metrics serves each node's telemetry as
 // an OpenMetrics scrape endpoint. See docs/ARCHITECTURE.md for how the
-// three execution shapes relate.
+// two execution shapes relate.
 //
 // Deeper extension points (custom protocols, adversaries, tracers,
 // graphs) are exposed through type aliases into the internal packages;

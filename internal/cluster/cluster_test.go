@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/syncgossip"
 )
 
 // runLive replays spec in-process with tight pacing and requires every
@@ -52,7 +53,7 @@ func liveSpec(proto string, n, f int) scenario.Spec {
 		Schedule:       scenario.ScheduleSpec{Kind: scenario.SchedEvery},
 		Delay:          scenario.DelaySpec{Kind: scenario.DelayFixed, Value: 1},
 		Majority:       proto == core.NameTEARS,
-		ExpectComplete: !(scenario.IsAveragingProtocol(proto) && f > 0),
+		ExpectComplete: !(proto == core.NameAverage && f > 0),
 	}
 	for i := 0; i < f; i++ {
 		spec.Crashes = append(spec.Crashes, scenario.CrashEvent{At: int64(10 + 7*i), Proc: n - 1 - i})
@@ -76,6 +77,22 @@ func TestLiveEARSWithCrashes(t *testing.T) {
 	}
 	if res.TotalSent == 0 || res.Latency.Count == 0 {
 		t.Errorf("empty run: sent=%d latency samples=%d", res.TotalSent, res.Latency.Count)
+	}
+}
+
+// trivial sends to every peer exactly once, so the live message count is
+// the simulator's exactly: n(n−1).
+func TestLiveTrivialGossip(t *testing.T) {
+	res := runLive(t, liveSpec(core.NameTrivial, 16, 0))
+	if want := int64(16 * 15); res.TotalSent != want {
+		t.Errorf("sent %d messages, want %d", res.TotalSent, want)
+	}
+}
+
+func TestLiveTEARSMajority(t *testing.T) {
+	res := runLive(t, liveSpec(core.NameTEARS, 48, 0))
+	if !res.Completed {
+		t.Error("tears run did not gather a majority everywhere")
 	}
 }
 
@@ -107,13 +124,14 @@ func TestLiveRingTopology(t *testing.T) {
 // Synchronous baselines have no wire codec; the driver must reject them
 // up front rather than hang a cluster.
 func TestLiveRejectsSyncProtocols(t *testing.T) {
-	spec := liveSpec("sync-gossip", 4, 0)
-	spec.ExpectComplete = false
-	if err := spec.Validate(); err != nil {
-		t.Skipf("sync-gossip not a valid spec protocol here: %v", err)
-	}
-	if _, err := cluster.Run(context.Background(), spec, cluster.Options{}); err == nil {
-		t.Fatal("driver accepted a simulator-only protocol")
+	for _, proto := range []string{syncgossip.NameSyncEpidemic, syncgossip.NameSyncDeterministic} {
+		spec := liveSpec(proto, 4, 0)
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		if _, err := cluster.Run(context.Background(), spec, cluster.Options{}); err == nil {
+			t.Errorf("driver accepted the simulator-only protocol %s", proto)
+		}
 	}
 }
 

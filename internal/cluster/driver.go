@@ -134,8 +134,7 @@ func Run(ctx context.Context, spec scenario.Spec, opts Options) (*Result, error)
 		if err != nil {
 			return nil, err
 		}
-		// NoPool for the same reason internal/live sets it: nodes live on
-		// separate goroutines and payloads cross them.
+		// NoPool: nodes live on separate goroutines and payloads cross them.
 		params := core.Params{N: spec.N, F: spec.F, Graph: graph, NoPool: true}
 		nodes, err := core.NewNodes(proto, params, spec.Seed)
 		if err != nil {
@@ -179,11 +178,11 @@ func Run(ctx context.Context, spec scenario.Spec, opts Options) (*Result, error)
 
 	res := &Result{Spec: spec, Mode: mode, StepEvery: opts.StepEvery}
 
-	// Quiescence detection, the distributed analogue of internal/live's
-	// credit counting: every node joined and stepped, every live node
-	// quiescent, global sent == received + drained, and the counters frozen
-	// across 3 consecutive sweeps (the double-check against the
-	// count-then-quiesce race, with heartbeat lag on top).
+	// Quiescence detection by distributed credit counting: every node
+	// joined and stepped, every live node quiescent, global sent ==
+	// received + drained, and the counters frozen across 3 consecutive
+	// sweeps (the double-check against the count-then-quiesce race, with
+	// heartbeat lag on top).
 	sweep := time.NewTicker(opts.Heartbeat)
 	defer sweep.Stop()
 	deadline := time.NewTimer(opts.Timeout)
@@ -265,6 +264,6 @@ collect:
 			res.Passed = false
 		}
 	}
-	res.Completed = completionDetail(res.Spec, res.Reports) == ""
+	res.Completed = scenario.CompletionViolation(res.Spec, newReportEvidence(res)) == ""
 	return res, nil
 }

@@ -22,8 +22,8 @@ type NodeConfig struct {
 	N  int
 	// RegistryAddr is the control-plane address to join.
 	RegistryAddr string
-	// StepEvery is the mean pacing of local steps (jittered ±50% per node,
-	// exactly as internal/live paces goroutines). Default 1ms.
+	// StepEvery is the mean pacing of local steps (jittered ±50% per
+	// node). Default 1ms.
 	StepEvery time.Duration
 	// HeartbeatEvery paces control-plane heartbeats. Default 25ms.
 	HeartbeatEvery time.Duration
@@ -31,7 +31,7 @@ type NodeConfig struct {
 	// epoch (0 = never). A crashed node stops stepping and sending but
 	// keeps draining its inbox and heartbeating — the control plane stays
 	// alive so cluster-wide credit accounting remains exact, mirroring
-	// internal/live's drain discipline.
+	// the simulator's drain discipline.
 	CrashAfter time.Duration
 	// StartTimeout bounds join + peer discovery. Default 30s.
 	StartTimeout time.Duration
@@ -82,7 +82,6 @@ type NodeReport struct {
 
 	HasRumors   bool    `json:"has_rumors,omitempty"`
 	Rumors      []int   `json:"rumors,omitempty"`
-	RumorCount  int     `json:"rumor_count,omitempty"`
 	HasInformed bool    `json:"has_informed,omitempty"`
 	Informed    bool    `json:"informed,omitempty"`
 	HasAvg      bool    `json:"has_avg,omitempty"`
@@ -139,7 +138,7 @@ func (c *controlConn) Close() { c.conn.Close() }
 // deregister — and returns the final report (which was also streamed to
 // the registry). nd must be an unpooled protocol node with ID cfg.ID;
 // cross-process payloads travel as core's wire codec, so pooled snapshots
-// must not be in play (use core.Params.NoPool, as internal/live does).
+// must not be in play (use core.Params.NoPool, as Run does).
 func RunNode(cfg NodeConfig, nd sim.Node) (*NodeReport, error) {
 	cfg = cfg.withDefaults()
 	if nd == nil || int(nd.ID()) != cfg.ID {
@@ -207,8 +206,7 @@ func RunNode(cfg NodeConfig, nd sim.Node) (*NodeReport, error) {
 		absorb(ack.Members)
 	}
 
-	// Gossip loop: jittered pacing exactly as internal/live paces its
-	// goroutines — each node steps at its own rhythm.
+	// Gossip loop: jittered pacing — each node steps at its own rhythm.
 	r := rng.New(cfg.Seed).Fork(0xC1A5).Fork(uint64(cfg.ID))
 	pace := cfg.StepEvery/2 + time.Duration(r.Intn(int(cfg.StepEvery)))
 	ticker := time.NewTicker(pace)
@@ -326,9 +324,7 @@ func heartbeatOf(rep *NodeReport) HeartbeatMsg {
 func fillStateReport(rep *NodeReport, nd sim.Node) {
 	if rh, ok := nd.(core.RumorHolder); ok {
 		rep.HasRumors = true
-		set := rh.RumorSet()
-		rep.RumorCount = set.Count()
-		set.ForEach(func(i int) bool {
+		rh.RumorSet().ForEach(func(i int) bool {
 			rep.Rumors = append(rep.Rumors, i)
 			return true
 		})

@@ -2,16 +2,16 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/bitset"
 	"repro/internal/scenario"
 )
 
 // Live oracle subset: the scenario catalog's invariants that remain
 // judgeable without the simulator's event witness, re-derived from node
-// reports and the merged wall-clock trace. The kernel-witness oracles
+// reports and the merged wall-clock trace; completion and validity run the
+// scenario package's judgments over the reports. The kernel-witness oracles
 // (delay clamp, schedule gap, event order) do not transfer — real
 // networks make no (d, δ) promise — but crash budget, validity,
 // completion, the complexity envelopes (with extra wall-clock slack),
@@ -95,38 +95,15 @@ func checkLiveCrashBudget(res *Result) string {
 	return ""
 }
 
-// checkLiveValidity: no rumor out of thin air — a held rumor's originator
-// took at least one local step.
+// checkLiveValidity: no rumor out of thin air, judged by the simulator's
+// own validity judgment over the reports.
 func checkLiveValidity(res *Result) string {
-	steps := make(map[int]int64, len(res.Reports))
-	for _, rp := range res.Reports {
-		steps[rp.ID] = rp.Steps
-	}
-	if scenario.IsSpreadProtocol(res.Spec.Protocol) {
-		for _, rp := range res.Reports {
-			if rp.ID != 0 && rp.HasInformed && rp.Informed && steps[0] == 0 {
-				return fmt.Sprintf("node %d is informed, but initiator 0 never took a step", rp.ID)
-			}
-		}
-		return ""
-	}
-	for _, rp := range res.Reports {
-		if !rp.HasRumors {
-			continue
-		}
-		for _, r := range rp.Rumors {
-			if r != rp.ID && steps[r] == 0 {
-				return fmt.Sprintf("node %d holds rumor %d, but %d never took a step", rp.ID, r, r)
-			}
-		}
-	}
-	return ""
+	return scenario.ValidityViolation(res.Spec, newReportEvidence(res))
 }
 
 // checkLiveCompletion: scenarios with a completion promise quiesce in
-// time and every correct node holds what the promise requires, judged
-// from reported node state exactly as the simulator's completion oracle
-// judges raw node state.
+// time and every correct node holds what the promise requires, judged by
+// the simulator's own completion judgment over the reports.
 func checkLiveCompletion(res *Result) string {
 	if !res.Spec.ExpectComplete {
 		return ""
@@ -135,82 +112,46 @@ func checkLiveCompletion(res *Result) string {
 		return fmt.Sprintf("cluster did not quiesce (sent=%d received=%d drained=%d)",
 			res.TotalSent, res.TotalReceived, res.TotalDrained)
 	}
-	return completionDetail(res.Spec, res.Reports)
+	return scenario.CompletionViolation(res.Spec, newReportEvidence(res))
 }
 
-// completionDetail verifies the protocol's completion condition over the
-// final node reports, independent of Spec.ExpectComplete: "" when every
-// correct node holds what the protocol promises.
-func completionDetail(spec scenario.Spec, reports []*NodeReport) string {
-	if len(reports) < spec.N {
-		return fmt.Sprintf("only %d/%d node reports", len(reports), spec.N)
-	}
-	byID := make(map[int]*NodeReport, len(reports))
-	for _, rp := range reports {
-		byID[rp.ID] = rp
-	}
-	if scenario.IsSpreadProtocol(spec.Protocol) {
-		for _, rp := range reports {
-			if rp.Crashed {
-				continue
-			}
-			if !rp.HasInformed {
-				return fmt.Sprintf("node %d reports no informed bit", rp.ID)
-			}
-			if !rp.Informed {
-				return fmt.Sprintf("correct node %d is uninformed", rp.ID)
-			}
-		}
-		return ""
-	}
-	if scenario.IsAveragingProtocol(spec.Protocol) {
-		mean := 0.0
-		for _, rp := range reports {
-			if !rp.HasAvg {
-				return fmt.Sprintf("node %d reports no averaging state", rp.ID)
-			}
-			mean += rp.Initial
-		}
-		mean /= float64(spec.N)
-		eps := core.Params{N: spec.N, F: spec.F}.WithDefaults().AvgEpsilon
-		for _, rp := range reports {
-			if rp.Crashed {
-				continue
-			}
-			if rp.Weight <= 0 {
-				return fmt.Sprintf("correct node %d holds non-positive weight %v", rp.ID, rp.Weight)
-			}
-			if got := rp.Sum / rp.Weight; math.Abs(got-mean) > eps {
-				return fmt.Sprintf("correct node %d estimates %v, mean is %v (ε=%v)", rp.ID, got, mean, eps)
-			}
-		}
-		return ""
-	}
-	need := spec.N/2 + 1
-	for _, rp := range reports {
-		if rp.Crashed {
+// reportEvidence is scenario.Evidence over the nodes' final reports,
+// indexed by node ID; a node whose report never arrived has none.
+type reportEvidence struct {
+	reports []*NodeReport
+	rumors  []*bitset.Set
+}
+
+func newReportEvidence(res *Result) *reportEvidence {
+	n := res.Spec.N
+	ev := &reportEvidence{reports: make([]*NodeReport, n), rumors: make([]*bitset.Set, n)}
+	for _, rp := range res.Reports {
+		if rp.ID < 0 || rp.ID >= n {
 			continue
 		}
-		if !rp.HasRumors {
-			return fmt.Sprintf("node %d reports no rumor set", rp.ID)
-		}
-		if spec.Majority {
-			if rp.RumorCount < need {
-				return fmt.Sprintf("correct node %d holds %d rumors, majority needs %d", rp.ID, rp.RumorCount, need)
+		ev.reports[rp.ID] = rp
+		if rp.HasRumors {
+			set := bitset.New(n)
+			for _, r := range rp.Rumors {
+				set.Add(r)
 			}
-			continue
-		}
-		held := make(map[int]bool, len(rp.Rumors))
-		for _, r := range rp.Rumors {
-			held[r] = true
-		}
-		for r := 0; r < spec.N; r++ {
-			if other := byID[r]; other != nil && !other.Crashed && !held[r] {
-				return fmt.Sprintf("correct node %d lacks rumor of correct node %d", rp.ID, r)
-			}
+			ev.rumors[rp.ID] = set
 		}
 	}
-	return ""
+	return ev
+}
+
+func (e *reportEvidence) Reported(p int) bool              { return e.reports[p] != nil }
+func (e *reportEvidence) Crashed(p int) bool               { return e.reports[p].Crashed }
+func (e *reportEvidence) Steps(p int) int64                { return e.reports[p].Steps }
+func (e *reportEvidence) Rumors(p int) (*bitset.Set, bool) { return e.rumors[p], e.rumors[p] != nil }
+func (e *reportEvidence) Informed(p int) (bool, bool) {
+	return e.reports[p].Informed, e.reports[p].HasInformed
+}
+
+func (e *reportEvidence) Average(p int) (sum, weight, initial float64, ok bool) {
+	rp := e.reports[p]
+	return rp.Sum, rp.Weight, rp.Initial, rp.HasAvg
 }
 
 // checkLiveMessageEnvelope: total sends stay within the spec's Table 1

@@ -130,6 +130,27 @@ func TestCheckLiveCompletionSkipsCrashed(t *testing.T) {
 	}
 }
 
+// A node whose final report never reached the registry left no evidence:
+// the run fails completion on the missing report, but validity must not
+// read the absent initiator's steps as zero and blame the protocol.
+func TestCheckLiveMissingReport(t *testing.T) {
+	gossip := spreadResult()
+	gossip.Spec.Protocol = core.NameEARS
+	for _, rp := range gossip.Reports {
+		rp.HasInformed, rp.Informed = false, false
+		rp.HasRumors, rp.Rumors = true, []int{0, 1}
+	}
+	for _, res := range []*cluster.Result{spreadResult(), gossip} {
+		res.Reports = res.Reports[1:] // node 0's report is lost
+		if v := verdictFor(t, res, cluster.LiveOracleValidity); !v.OK {
+			t.Errorf("%s: validity blamed a lost report on the protocol: %s", res.Spec.Protocol, v.Detail)
+		}
+		if v := verdictFor(t, res, cluster.LiveOracleCompletion); v.OK || v.Detail != "only 2/3 node reports" {
+			t.Errorf("%s: completion verdict %+v, want a missing-report failure", res.Spec.Protocol, v)
+		}
+	}
+}
+
 func TestCheckLiveAveragingCompletion(t *testing.T) {
 	spec := scenario.Spec{
 		Protocol: core.NameAverage, N: 2, F: 0, D: 2, Delta: 2, Seed: 1,
@@ -167,20 +188,20 @@ func TestCheckLiveMajorityCompletion(t *testing.T) {
 	spec := spreadSpec()
 	spec.Protocol = core.NameTEARS
 	spec.Majority = true
-	rep := func(id, count int) *cluster.NodeReport {
+	rep := func(id int, rumors ...int) *cluster.NodeReport {
 		return &cluster.NodeReport{
-			ID: id, Steps: 5, HasRumors: true, RumorCount: count, Quiescent: true,
+			ID: id, Steps: 5, HasRumors: true, Rumors: rumors, Quiescent: true,
 		}
 	}
 	res := &cluster.Result{
 		Spec: spec, Mode: cluster.ModeInproc, StepEvery: time.Millisecond,
 		QuiesceWall: time.Millisecond,
-		Reports:     []*cluster.NodeReport{rep(0, 2), rep(1, 3), rep(2, 2)},
+		Reports:     []*cluster.NodeReport{rep(0, 0, 1), rep(1, 0, 1, 2), rep(2, 1, 2)},
 	}
 	if v := verdictFor(t, res, cluster.LiveOracleCompletion); !v.OK {
 		t.Fatalf("majority-complete run rejected: %s", v.Detail)
 	}
-	res.Reports[0].RumorCount = 1 // needs n/2+1 = 2
+	res.Reports[0].Rumors = []int{0} // needs n/2+1 = 2
 	if v := verdictFor(t, res, cluster.LiveOracleCompletion); v.OK {
 		t.Error("sub-majority rumor count accepted")
 	}

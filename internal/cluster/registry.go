@@ -193,7 +193,7 @@ func (r *Registry) SetDirective(d string) {
 
 // SweepStats is one quiescence-detector sweep over the registry's view of
 // the cluster: the global credit count (Sent vs Received+Drained) plus
-// per-node liveness, mirroring internal/live's in-memory detector.
+// per-node liveness.
 type SweepStats struct {
 	Joined    int
 	Left      int

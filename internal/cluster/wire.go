@@ -1,5 +1,5 @@
-// Package cluster promotes the single-process live runtime (internal/live)
-// into a real networked gossip cluster: every process owns a TCP listener,
+// Package cluster is the repository's real-concurrency runtime: a
+// networked gossip cluster where every process owns a TCP listener,
 // messages travel as length-prefixed versioned binary envelopes carrying
 // the simulator's own payload snapshots, and a registry provides join/
 // leave, heartbeat health and peer discovery. The point is not a new
@@ -7,7 +7,8 @@
 // machines the simulator and the fuzzer execute — but a new adversary:
 // real network delay, OS scheduling and churn replace the declared
 // oblivious schedule, and the resulting live event trace is judged
-// against a live-adapted subset of the scenario oracle catalog. The same
+// against a live-adapted subset of the scenario oracle catalog (completion
+// and validity are the catalog's own judgments, not adaptations). The same
 // ScenarioSpec that runs in the simulator replays over the cluster
 // (scenario's live replay seam), which is what makes the production path
 // simulation-validated.

@@ -109,11 +109,11 @@ func ExecuteTraced(spec Spec, extra sim.Tracer) (*Execution, error) {
 // unpooled twin); shards > 1 selects the sharded superstep kernel (the
 // sharded twin); the tracer observes every event.
 func runOnce(spec Spec, noPool bool, shards int, tracer sim.Tracer) (sim.View, []sim.Node, sim.Result, error, error) {
-	proto, err := protoByName(spec.Protocol)
+	proto, err := ProtocolByName(spec.Protocol)
 	if err != nil {
 		return nil, nil, sim.Result{}, nil, err
 	}
-	graph, err := spec.graph()
+	graph, err := spec.BuildGraph()
 	if err != nil {
 		return nil, nil, sim.Result{}, nil, err
 	}

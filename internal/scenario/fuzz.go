@@ -408,14 +408,14 @@ func fuzzSpec(spec Spec, master, index int64, shrinkBudget int) (cellOutcome, er
 		spec:         spec,
 		feature:      featureOf(ex),
 	}
-	if bound := messageEnvelope(spec); bound > 0 {
+	if bound := MessageEnvelope(spec); bound > 0 {
 		out.msgTight = float64(ex.Res.Messages) / bound
 		out.msgTightOK = true
 	}
 	// Time envelopes quantify completion, so only promised, completed runs
 	// contribute (mirroring checkTimeEnvelope's applicability rule).
 	if spec.ExpectComplete && ex.Res.Completed {
-		if bound := timeEnvelope(spec); bound > 0 {
+		if bound := TimeEnvelope(spec); bound > 0 {
 			out.timeTight = float64(ex.Res.TimeComplexity) / bound
 			out.timeTightOK = true
 		}

@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"repro/internal/core"
-	"repro/internal/topology"
 )
 
 // Live replay seam: the exported surface the live networked cluster
@@ -15,37 +12,10 @@ import (
 // policies with real asynchrony — the Go scheduler, TCP, the OS — but
 // keeps the spec's protocol, parameters, topology and crash plan, so a
 // live trace can be judged against a live-adapted subset of the same
-// oracle catalog.
-
-// ProtocolByName resolves a protocol from the registries the fuzzer draws
-// from (core and syncgossip).
-func ProtocolByName(name string) (core.Protocol, error) { return protoByName(name) }
-
-// BuildGraph materializes the spec's topology: nil for the paper's
-// complete graph, a seeded CSR graph otherwise.
-func (s Spec) BuildGraph() (topology.Graph, error) { return s.graph() }
-
-// IsSpreadProtocol reports whether the protocol is in the single-rumor
-// spreading family (push/pull/push-pull): completion is an informed bit,
-// not a rumor set.
-func IsSpreadProtocol(p string) bool { return isSpreadProto(p) }
-
-// IsAveragingProtocol reports whether the protocol is sum-weight averaging:
-// completion is ε-consensus of the estimates.
-func IsAveragingProtocol(p string) bool { return isAvgProto(p) }
-
-// MessageEnvelope returns the spec's Table-1-derived message-complexity
-// bound (already scaled by the simulator's slack factor), or 0 when no
-// bound applies. Live runs layer additional wall-clock slack on top: the
-// bound's (d, δ) terms describe the declared adversary, which real
-// networks only approximate.
-func MessageEnvelope(s Spec) float64 { return messageEnvelope(s) }
-
-// TimeEnvelope returns the spec's completion-time bound in simulated
-// steps (scaled by the simulator's slack factor), or 0 when no bound
-// applies. A live harness converts steps to wall clock via its pacing
-// interval and applies its own slack.
-func TimeEnvelope(s Spec) float64 { return timeEnvelope(s) }
+// oracle catalog. Completion and validity are not adapted but shared:
+// CompletionViolation and ValidityViolation judge either runtime's
+// Evidence. ProtocolByName, Spec.BuildGraph, MessageEnvelope and
+// TimeEnvelope are the fuzzer's own functions.
 
 // ReadSpecFile loads a Spec from any of the serialized forms the
 // repository produces: a bare Spec JSON object, a corpus entry

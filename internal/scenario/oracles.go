@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/syncgossip"
@@ -152,103 +153,127 @@ func checkCompletion(ex *Execution) string {
 	if !ex.Res.Completed {
 		return ex.runDetail()
 	}
-	v := ex.view
-	if isSpreadProto(ex.Spec.Protocol) {
-		// Single-rumor spreading: every correct process must hold the bit.
-		for p := 0; p < v.N(); p++ {
-			if !v.Alive(sim.ProcID(p)) {
-				continue
-			}
-			inf, ok := ex.nodes[p].(core.Informed)
-			if !ok {
-				return fmt.Sprintf("node %d does not expose Informed", p)
-			}
-			if !inf.Informed() {
-				return fmt.Sprintf("correct process %d is uninformed", p)
-			}
+	return CompletionViolation(ex.Spec, (*simEvidence)(ex))
+}
+
+// checkValidity verifies no rumor appeared out of thin air.
+func checkValidity(ex *Execution) string {
+	return ValidityViolation(ex.Spec, (*simEvidence)(ex))
+}
+
+// Evidence is a finished run's final per-process state: all that the
+// completion and validity judgments read. The simulator answers from its
+// nodes and kernel view; the cluster from the nodes' final reports. Each
+// protocol-state accessor reports ok=false when p does not hold that state.
+type Evidence interface {
+	// Reported is false when p left no final state to judge, e.g. a
+	// cluster node whose report never reached the registry.
+	Reported(p int) bool
+	Crashed(p int) bool
+	Steps(p int) int64
+	Rumors(p int) (set *bitset.Set, ok bool)
+	Informed(p int) (informed, ok bool)
+	Average(p int) (sum, weight, initial float64, ok bool)
+}
+
+// CompletionViolation judges the protocol's completion promise over the
+// evidence, regardless of s.ExpectComplete: "" when every process reported
+// and every correct one holds what the promise requires — the informed bit
+// for spreading, an estimate within ε of the mean for averaging, a
+// majority of rumors for a majority spec, every correct rumor otherwise.
+func CompletionViolation(s Spec, ev Evidence) string {
+	reported := 0
+	for p := 0; p < s.N; p++ {
+		if ev.Reported(p) {
+			reported++
 		}
-		return ""
 	}
-	if isAvgProto(ex.Spec.Protocol) {
-		// Sum-weight averaging: every correct process's estimate must lie
-		// within ε of the true mean over all n initial values (the domain
-		// is crash-free, so all n contribute mass).
-		states := make([]core.AverageState, v.N())
-		mean := 0.0
-		for p := range states {
-			st, ok := ex.nodes[p].(core.AverageState)
+	if reported < s.N {
+		return fmt.Sprintf("only %d/%d node reports", reported, s.N)
+	}
+	spread, avg := isSpreadProto(s.Protocol), isAvgProto(s.Protocol)
+	var mean, eps float64
+	if avg {
+		// The mean is over all n initial values: the domain is crash-free,
+		// so every process contributes mass.
+		for p := 0; p < s.N; p++ {
+			_, _, initial, ok := ev.Average(p)
 			if !ok {
 				return fmt.Sprintf("node %d does not expose AverageState", p)
 			}
-			states[p] = st
-			mean += st.InitialValue()
+			mean += initial
 		}
-		mean /= float64(v.N())
-		eps := core.Params{N: ex.Spec.N, F: ex.Spec.F}.WithDefaults().AvgEpsilon
-		for p, st := range states {
-			if !v.Alive(sim.ProcID(p)) {
-				continue
+		mean /= float64(s.N)
+		eps = core.Params{N: s.N, F: s.F}.WithDefaults().AvgEpsilon
+	}
+	need := s.N/2 + 1 // majority threshold
+	for p := 0; p < s.N; p++ {
+		if ev.Crashed(p) {
+			continue
+		}
+		switch {
+		case spread:
+			if inf, ok := ev.Informed(p); !ok {
+				return fmt.Sprintf("node %d does not expose Informed", p)
+			} else if !inf {
+				return fmt.Sprintf("correct process %d is uninformed", p)
 			}
-			sum, weight := st.Estimate()
+		case avg:
+			sum, weight, _, _ := ev.Average(p)
 			if weight <= 0 {
 				return fmt.Sprintf("correct process %d holds non-positive weight %v", p, weight)
 			}
 			if got := sum / weight; math.Abs(got-mean) > eps {
 				return fmt.Sprintf("correct process %d estimates %v, mean is %v (ε=%v)", p, got, mean, eps)
 			}
-		}
-		return ""
-	}
-	need := v.N()/2 + 1 // majority threshold
-	for p := 0; p < v.N(); p++ {
-		if !v.Alive(sim.ProcID(p)) {
-			continue
-		}
-		h, ok := ex.nodes[p].(core.RumorHolder)
-		if !ok {
-			return fmt.Sprintf("node %d is not a RumorHolder", p)
-		}
-		if ex.Spec.Majority {
-			if got := h.RumorSet().Count(); got < need {
-				return fmt.Sprintf("correct process %d holds %d rumors, majority needs %d", p, got, need)
+		default:
+			set, ok := ev.Rumors(p)
+			if !ok {
+				return fmt.Sprintf("node %d is not a RumorHolder", p)
 			}
-			continue
-		}
-		for r := 0; r < v.N(); r++ {
-			if v.Alive(sim.ProcID(r)) && !h.RumorSet().Test(r) {
-				return fmt.Sprintf("correct process %d lacks rumor of correct process %d", p, r)
+			if s.Majority {
+				if got := set.Count(); got < need {
+					return fmt.Sprintf("correct process %d holds %d rumors, majority needs %d", p, got, need)
+				}
+				continue
+			}
+			for r := 0; r < s.N; r++ {
+				if !set.Test(r) && !ev.Crashed(r) {
+					return fmt.Sprintf("correct process %d lacks rumor of correct process %d", p, r)
+				}
 			}
 		}
 	}
 	return ""
 }
 
-// checkValidity verifies no rumor appeared out of thin air: a held rumor's
-// originator must have taken at least one local step (or be the holder).
-func checkValidity(ex *Execution) string {
-	v := ex.view
-	if isSpreadProto(ex.Spec.Protocol) {
-		// Causality for the single rumor: only process 0 initiates it, so
-		// any other informed process implies the initiator took a step.
-		for p := 1; p < v.N(); p++ {
-			inf, ok := ex.nodes[p].(core.Informed)
-			if !ok {
+// ValidityViolation judges that no rumor appeared out of thin air: a held
+// rumor's originator took at least one local step (or is the holder). Only
+// processes with evidence are judged — a lost report is a completion
+// failure, not proof that its process never stepped.
+func ValidityViolation(s Spec, ev Evidence) string {
+	spread := isSpreadProto(s.Protocol)
+	for p := 0; p < s.N; p++ {
+		if !ev.Reported(p) || (spread && p == 0) {
+			continue
+		}
+		if spread {
+			// Only process 0 initiates the single rumor, so any other
+			// informed process implies the initiator took a step.
+			if inf, ok := ev.Informed(p); !ok {
 				return fmt.Sprintf("node %d does not expose Informed", p)
-			}
-			if inf.Informed() && v.StepsTaken(0) == 0 {
+			} else if inf && ev.Reported(0) && ev.Steps(0) == 0 {
 				return fmt.Sprintf("process %d is informed, but initiator 0 never took a step", p)
 			}
+			continue
 		}
-		return ""
-	}
-	for p := 0; p < v.N(); p++ {
-		h, ok := ex.nodes[p].(core.RumorHolder)
+		set, ok := ev.Rumors(p)
 		if !ok {
 			continue
 		}
 		detail := ""
-		h.RumorSet().ForEach(func(r int) bool {
-			if r != p && v.StepsTaken(sim.ProcID(r)) == 0 {
+		set.ForEach(func(r int) bool {
+			if r != p && ev.Reported(r) && ev.Steps(r) == 0 {
 				detail = fmt.Sprintf("process %d holds rumor %d, but %d never took a step", p, r, r)
 				return false
 			}
@@ -259,6 +284,38 @@ func checkValidity(ex *Execution) string {
 		}
 	}
 	return ""
+}
+
+// simEvidence reads Evidence off a finished simulation: the kernel's view
+// for crashes and steps, the nodes for protocol state. The simulator holds
+// every node, so every process has reported.
+type simEvidence Execution
+
+func (e *simEvidence) Reported(int) bool  { return true }
+func (e *simEvidence) Crashed(p int) bool { return !e.view.Alive(sim.ProcID(p)) }
+func (e *simEvidence) Steps(p int) int64  { return e.view.StepsTaken(sim.ProcID(p)) }
+
+func (e *simEvidence) Rumors(p int) (*bitset.Set, bool) {
+	if h, ok := e.nodes[p].(core.RumorHolder); ok {
+		return h.RumorSet(), true
+	}
+	return nil, false
+}
+
+func (e *simEvidence) Informed(p int) (bool, bool) {
+	if inf, ok := e.nodes[p].(core.Informed); ok {
+		return inf.Informed(), true
+	}
+	return false, false
+}
+
+func (e *simEvidence) Average(p int) (sum, weight, initial float64, ok bool) {
+	st, ok := e.nodes[p].(core.AverageState)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	sum, weight = st.Estimate()
+	return sum, weight, st.InitialValue(), true
 }
 
 // Envelope slack factors. The paper's bounds are asymptotic with unstated
@@ -272,12 +329,13 @@ const (
 	timeSlack = 12.0
 )
 
-// messageEnvelope returns the message bound for the spec's protocol, per
+// MessageEnvelope returns the message bound for the spec's protocol, per
 // Table 1 of the paper, scaled by msgSlack; returns 0 when no bound
 // applies. Deterministic per-step protocols (trivial, naive, the sync
 // baselines) get exact send-budget caps with no slack: their step budgets
-// are deterministic, so exceeding them is a hard bug.
-func messageEnvelope(s Spec) float64 {
+// are deterministic, so exceeding them is a hard bug. Live runs layer
+// wall-clock slack on top.
+func MessageEnvelope(s Spec) float64 {
 	n := float64(s.N)
 	surv := float64(s.N - s.F)
 	if surv < 1 {
@@ -332,9 +390,10 @@ func messageEnvelope(s Spec) float64 {
 	return 0
 }
 
-// timeEnvelope returns the completion-time bound for the spec, scaled by
-// timeSlack; 0 when no bound applies or the run carries no promise.
-func timeEnvelope(s Spec) float64 {
+// TimeEnvelope returns the completion-time bound for the spec in simulated
+// steps, scaled by timeSlack; 0 when no bound applies. A live harness
+// converts steps to wall clock via its pacing and applies its own slack.
+func TimeEnvelope(s Spec) float64 {
 	n := float64(s.N)
 	surv := float64(s.N - s.F)
 	if surv < 1 {
@@ -384,7 +443,7 @@ func timeEnvelope(s Spec) float64 {
 }
 
 func checkMessageEnvelope(ex *Execution) string {
-	bound := messageEnvelope(ex.Spec)
+	bound := MessageEnvelope(ex.Spec)
 	if bound <= 0 {
 		return ""
 	}
@@ -401,7 +460,7 @@ func checkTimeEnvelope(ex *Execution) string {
 	if !ex.Spec.ExpectComplete || !ex.Res.Completed {
 		return ""
 	}
-	bound := timeEnvelope(ex.Spec)
+	bound := TimeEnvelope(ex.Spec)
 	if bound <= 0 {
 		return ""
 	}

@@ -139,7 +139,7 @@ const ShardsAuto = -1
 
 // Validate checks that the spec describes a runnable scenario.
 func (s Spec) Validate() error {
-	if _, err := protoByName(s.Protocol); err != nil {
+	if _, err := ProtocolByName(s.Protocol); err != nil {
 		return err
 	}
 	switch {
@@ -173,15 +173,15 @@ func (s Spec) Validate() error {
 		}
 	}
 	if s.Topology != "" {
-		if _, err := s.graph(); err != nil {
+		if _, err := s.BuildGraph(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// protoByName resolves a protocol from the core or syncgossip registries.
-func protoByName(name string) (core.Protocol, error) {
+// ProtocolByName resolves a protocol from the core or syncgossip registries.
+func ProtocolByName(name string) (core.Protocol, error) {
 	if p, err := core.ByName(name); err == nil {
 		return p, nil
 	}
@@ -191,9 +191,9 @@ func protoByName(name string) (core.Protocol, error) {
 	return nil, fmt.Errorf("scenario: unknown protocol %q", name)
 }
 
-// graph builds the spec's topology (nil for the complete graph, preserving
-// the paper's exact sampling semantics).
-func (s Spec) graph() (topology.Graph, error) {
+// BuildGraph builds the spec's topology (nil for the complete graph,
+// preserving the paper's exact sampling semantics).
+func (s Spec) BuildGraph() (topology.Graph, error) {
 	if s.Topology == "" || s.Topology == topology.FamilyComplete {
 		return nil, nil
 	}

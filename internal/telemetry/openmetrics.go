@@ -23,9 +23,9 @@ type Gauge struct {
 }
 
 // WriteOpenMetrics renders a Snapshot (plus any extra gauges) in the
-// OpenMetrics text format — the format the planned internal/live registry
-// will scrape, and directly ingestible by Prometheus-compatible
-// collectors. The output ends with the mandatory "# EOF" terminator.
+// OpenMetrics text format — the format each cluster node serves at
+// /metrics, and directly ingestible by Prometheus-compatible collectors.
+// The output ends with the mandatory "# EOF" terminator.
 func WriteOpenMetrics(w io.Writer, snap Snapshot, extra ...Gauge) error {
 	ew := &errWriter{w: w}
 	counter := func(name, help string, v int64) {
