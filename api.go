@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"fmt"
-
 	"repro/internal/adversary"
 	"repro/internal/consensus"
 	"repro/internal/core"
@@ -191,16 +189,6 @@ type GossipResult struct {
 	// OutOfRangeDrops counts sends dropped for an out-of-range target id
 	// (nonzero flags a protocol addressing processes that do not exist).
 	OutOfRangeDrops int64
-}
-
-func gossipProtoByName(name string) (core.Protocol, error) {
-	if p, err := core.ByName(name); err == nil {
-		return p, nil
-	}
-	if p, err := syncgossip.ByName(name); err == nil {
-		return p, nil
-	}
-	return nil, fmt.Errorf("repro: unknown gossip protocol %q", name)
 }
 
 // ConsensusSpec describes one consensus execution for Run. Zero values

@@ -10,17 +10,21 @@ import (
 	"testing"
 )
 
+// TestBenchQuickEmitsValidArtifact runs the pinned quick suite, checks the
+// artifact's shape, and gates it against the committed BENCH_gossip.json:
+// steps, messages and bytes are deterministic, so a behaviour change
+// anywhere in the stack fails here and names the cell that moved. If the
+// change is intended, regenerate the baseline from the repository root with
+//
+//	go run ./cmd/bench -quick -out BENCH_gossip.json
 func TestBenchQuickEmitsValidArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench suite in -short mode")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_gossip.json")
+	path := filepath.Join(t.TempDir(), "b.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-seeds", "2", "-out", path}, &buf); err != nil {
-		t.Fatal(err)
+	if err := run([]string{"-quick", "-compare", "../../BENCH_gossip.json", "-out", path}, &buf); err != nil {
+		t.Fatalf("%v\n%s", err, buf.String())
 	}
-	if !strings.Contains(buf.String(), "wrote") {
-		t.Fatalf("no summary line:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "wrote") || !strings.Contains(buf.String(), "compare OK") {
+		t.Fatalf("no summary lines:\n%s", buf.String())
 	}
 
 	// The artifact must parse, carry the pinned schema, and pass -check.
@@ -35,7 +39,7 @@ func TestBenchQuickEmitsValidArtifact(t *testing.T) {
 	if file.Schema != schemaVersion {
 		t.Fatalf("schema %q", file.Schema)
 	}
-	if file.Scale != "quick" || file.Seeds != 2 {
+	if file.Scale != "quick" || file.Seeds != 3 { // the committed baseline's seed count
 		t.Fatalf("scale=%q seeds=%d", file.Scale, file.Seeds)
 	}
 	if want := len(suite("quick")) * 2; len(file.Results) != want { // 2 quick n points

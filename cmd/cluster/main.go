@@ -32,6 +32,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/syncgossip"
 )
 
 // specEnv carries the spec JSON from the driver to node-mode children, so
@@ -220,7 +221,7 @@ func runNode(id int, registry string, stepEvery, heartbeat, crashAfter,
 		fmt.Fprintf(os.Stderr, "node: need -id in [0,%d) and -registry\n", spec.N)
 		return 2
 	}
-	proto, err := scenario.ProtocolByName(spec.Protocol)
+	proto, err := syncgossip.ProtocolByName(spec.Protocol)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "node %d: %v\n", id, err)
 		return 2

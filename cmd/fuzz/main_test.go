@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,6 +44,51 @@ func TestFuzzRunsReproducible(t *testing.T) {
 	if sum.Schema != scenario.SummarySchema || sum.Runs != 200 {
 		t.Fatalf("summary: %+v", sum)
 	}
+}
+
+// TestFuzzSummarySeed1 pins the 4000-scenario session on the default stream
+// to a committed summary. A behaviour change anywhere under the fuzzer — a
+// protocol, the kernel, an adversary, an oracle — moves a count or an
+// envelope statistic and fails here with the lines that moved.
+func TestFuzzSummarySeed1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4000-scenario fuzz session in -short mode")
+	}
+	const golden = "testdata/fuzz-summary-seed1.json"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	code := run([]string{"-runs", "4000", "-seed", "1", "-quiet"}, &buf)
+	if got := buf.String(); got != string(want) {
+		t.Errorf("fuzz summary drifted from %s:\n%s"+
+			"If the change is intended, regenerate it from the repository root with\n"+
+			"\tgo run ./cmd/fuzz -runs 4000 -seed 1 -quiet > cmd/fuzz/%s",
+			golden, lineDiff(string(want), got), golden)
+	}
+	if code != 0 {
+		t.Errorf("exit %d", code)
+	}
+}
+
+// lineDiff lists each line at which two texts differ as a -want/+got pair.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < max(len(w), len(g)); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "-%s\n+%s\n", wl, gl)
+		}
+	}
+	return b.String()
 }
 
 // TestFuzzUsageErrors: missing/conflicting mode flags exit 2.

@@ -38,7 +38,6 @@ func run(args []string, out io.Writer) error {
 		topo    = fs.String("topology", "", "communication graph: complete|ring|torus|random-regular|erdos-renyi|watts-strogatz|barabasi-albert (empty = complete; sparse families can be disconnected by crashes — pair with -f 0 for pure-topology runs)")
 		tp1     = fs.Float64("topo-param", 0, "topology parameter (degree/p/k/m/rows; 0 = family default)")
 		tp2     = fs.Float64("topo-param2", 0, "second topology parameter (watts-strogatz β; 0 = default)")
-		runs    = fs.Int("runs", 0, "deprecated alias for -seeds")
 		seeds   = fs.Int("seeds", 0, "number of seeds to run (seed, seed+1, ...; default 1)")
 		workers = fs.Int("workers", 0, "run the seeds concurrently on this many workers (0 = GOMAXPROCS; output is identical to serial)")
 		shards  = fs.Int("shards", 0, "split each run into this many superstep shards (0/1 = serial kernel; output is identical for any value)")
@@ -48,13 +47,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	count := *seeds
-	if count <= 0 {
-		count = *runs
-	}
-	if count <= 0 {
-		count = 1
-	}
+	count := max(*seeds, 1)
 	specs := make([]repro.GossipSpec, count)
 	for i := range specs {
 		specs[i] = repro.GossipSpec{

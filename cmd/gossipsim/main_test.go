@@ -21,7 +21,7 @@ func TestRunDefaultFlags(t *testing.T) {
 
 func TestRunMultipleSeeds(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-n", "16", "-f", "0", "-proto", "tears", "-runs", "3"}, &buf); err != nil {
+	if err := run([]string{"-n", "16", "-f", "0", "-proto", "tears", "-seeds", "3"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(buf.String(), "completed=true"); got != 3 {

@@ -43,6 +43,9 @@ func run(args []string, out io.Writer) error {
 		for b := 8; b <= *f; b *= 2 {
 			budgets = append(budgets, b)
 		}
+		if len(budgets) == 0 {
+			return fmt.Errorf("-sweep starts at f=8, so -f %d leaves nothing to run", *f)
+		}
 	}
 	for _, budget := range budgets {
 		res, err := repro.Run(context.Background(), repro.LowerBoundSpec{

@@ -33,3 +33,12 @@ func TestRunTooSmall(t *testing.T) {
 		t.Fatal("tiny f accepted")
 	}
 }
+
+// A sweep whose range is empty must fail, not print nothing and succeed.
+func TestRunSweepBelowStart(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-n", "64", "-f", "6", "-sweep"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "nothing to run") {
+		t.Fatalf("empty sweep: err = %v, output %q", err, buf.String())
+	}
+}

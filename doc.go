@@ -139,7 +139,7 @@
 // O(1)-per-event samplers (telemetry.Recorder — informed-count and
 // in-flight curves, send-band and delivery-latency histograms, all exactly
 // mergeable across runs and shards) and exporters (OpenMetrics text,
-// Chrome trace-event JSON for Perfetto, NDJSON event logs) ride the same
+// Chrome trace-event JSON for Perfetto, an ASCII timeline) ride the same
 // Tracer seam as custom tracers; attach one via WithTelemetry or
 // WithTracer, or compose with sim.Tee. Everything is observation-only —
 // digests, baselines and fuzz output are byte-identical with telemetry on

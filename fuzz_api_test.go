@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"repro/internal/syncgossip"
 )
 
 // TestRunFuzzCleanAndDeterministic: the public fuzzing entry point runs a
@@ -57,7 +59,7 @@ func TestGenerateScenario(t *testing.T) {
 	for i := int64(0); i < 40; i++ {
 		spec := GenerateScenario(3, i)
 		seen[spec.Protocol] = true
-		if _, err := gossipProtoByName(spec.Protocol); err != nil {
+		if _, err := syncgossip.ProtocolByName(spec.Protocol); err != nil {
 			t.Fatalf("generated unknown protocol %q", spec.Protocol)
 		}
 	}

@@ -8,10 +8,10 @@
 // pre-seeded random stream — never from node state, payloads or coin flips
 // of the protocol. Compose the three policy kinds with Compose.
 //
-// Adaptive adversaries react to the execution; this package provides small
-// reusable adaptive policies (e.g. CrashOnFirstSend), while the full
-// Theorem 1 lower-bound adversary lives in package lowerbound because it
-// needs to drive executions and clone process state.
+// Adaptive adversaries react to the execution: Composed forwards every send
+// to any component implementing sim.SendObserver, while the full Theorem 1
+// lower-bound adversary lives in package lowerbound because it needs to
+// drive executions and clone process state.
 package adversary
 
 import (

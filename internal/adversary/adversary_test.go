@@ -113,20 +113,6 @@ func TestFixedStridePartition(t *testing.T) {
 	}
 }
 
-func TestSubsetSchedule(t *testing.T) {
-	v := newFakeView(10)
-	s := NewSubsetSchedule([]sim.ProcID{1, 3, 5})
-	got := s.Append(0, v, nil)
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("got %v", got)
-	}
-	s.SetProcs([]sim.ProcID{7})
-	got = s.Append(1, v, nil)
-	if len(got) != 1 || got[0] != 7 {
-		t.Fatalf("after SetProcs got %v", got)
-	}
-}
-
 func TestFixedDelay(t *testing.T) {
 	if d := FixedDelay(4).Delay(0, 1, 2); d != 4 {
 		t.Fatalf("FixedDelay = %d", d)
@@ -157,19 +143,6 @@ func TestPairwiseDelayStable(t *testing.T) {
 	}
 	if d := p.Delay(0, 99, 2); d != 1 {
 		t.Fatalf("out-of-range pair delay = %d, want 1", d)
-	}
-}
-
-func TestTargetedDelay(t *testing.T) {
-	td := NewTargetedDelay(8, []sim.ProcID{2})
-	if d := td.Delay(0, 2, 3); d != 8 {
-		t.Fatalf("victim-from delay = %d", d)
-	}
-	if d := td.Delay(0, 3, 2); d != 8 {
-		t.Fatalf("victim-to delay = %d", d)
-	}
-	if d := td.Delay(0, 3, 4); d != 1 {
-		t.Fatalf("bystander delay = %d", d)
 	}
 }
 
@@ -225,22 +198,6 @@ func TestNoCrashesForZeroBudget(t *testing.T) {
 	}
 	if _, ok := NewCrashStorm(10, 0, 5, rng.New(1)).(NoCrashes); !ok {
 		t.Fatal("zero budget storm should return NoCrashes")
-	}
-}
-
-func TestCrashOnFirstSendAdaptive(t *testing.T) {
-	c := NewCrashOnFirstSend(2)
-	c.ObserveSend(sim.Message{From: 3, To: 4})
-	c.ObserveSend(sim.Message{From: 3, To: 5}) // same sender: no double charge
-	c.ObserveSend(sim.Message{From: 7, To: 1})
-	c.ObserveSend(sim.Message{From: 9, To: 1}) // budget exhausted
-	v := newFakeView(10)
-	got := c.Append(1, v, nil)
-	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
-		t.Fatalf("victims = %v, want [3 7]", got)
-	}
-	if got = c.Append(2, v, nil); len(got) != 0 {
-		t.Fatalf("victims repeated: %v", got)
 	}
 }
 

@@ -123,41 +123,3 @@ func NewStaggeredCrashes(n, f int, unit sim.Time, r *rng.RNG) CrashPolicy {
 	}
 	return newPlanned(times, procs)
 }
-
-// CrashOnFirstSend is a simple *adaptive* crash policy: it crashes a process
-// the moment that process first sends a message, until the budget is spent.
-// It models the adversary "selectively failing processes that may attempt
-// to help" from the Theorem 1 proof sketch, and is used in tests to verify
-// that protocols survive maximally inconvenient crash timing.
-type CrashOnFirstSend struct {
-	budget  int
-	sent    map[sim.ProcID]bool
-	pending []sim.ProcID
-}
-
-var (
-	_ CrashPolicy      = (*CrashOnFirstSend)(nil)
-	_ sim.SendObserver = (*CrashOnFirstSend)(nil)
-)
-
-// NewCrashOnFirstSend returns the adaptive policy with a crash budget.
-func NewCrashOnFirstSend(budget int) *CrashOnFirstSend {
-	return &CrashOnFirstSend{budget: budget, sent: make(map[sim.ProcID]bool)}
-}
-
-// ObserveSend implements sim.SendObserver.
-func (c *CrashOnFirstSend) ObserveSend(m sim.Message) {
-	if c.budget <= 0 || c.sent[m.From] {
-		return
-	}
-	c.sent[m.From] = true
-	c.pending = append(c.pending, m.From)
-	c.budget--
-}
-
-// Append implements CrashPolicy: crashes queued victims at the next step.
-func (c *CrashOnFirstSend) Append(_ sim.Time, _ sim.View, buf []sim.ProcID) []sim.ProcID {
-	buf = append(buf, c.pending...)
-	c.pending = c.pending[:0]
-	return buf
-}

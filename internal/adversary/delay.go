@@ -109,30 +109,3 @@ func (p *PartitionDelay) Delay(t sim.Time, from, to sim.ProcID) sim.Time {
 	}
 	return 1
 }
-
-// TargetedDelay delays all messages to/from a victim set by exactly d while
-// the rest of the network runs at delay 1. This is the classic partial
-// synchrony pathology: a few processes look failed without being failed.
-type TargetedDelay struct {
-	d       sim.Time
-	victims map[sim.ProcID]bool
-}
-
-var _ DelayPolicy = (*TargetedDelay)(nil)
-
-// NewTargetedDelay returns a TargetedDelay hitting the given victims.
-func NewTargetedDelay(d sim.Time, victims []sim.ProcID) *TargetedDelay {
-	m := make(map[sim.ProcID]bool, len(victims))
-	for _, p := range victims {
-		m[p] = true
-	}
-	return &TargetedDelay{d: d, victims: m}
-}
-
-// Delay implements DelayPolicy.
-func (t *TargetedDelay) Delay(_ sim.Time, from, to sim.ProcID) sim.Time {
-	if t.victims[from] || t.victims[to] {
-		return t.d
-	}
-	return 1
-}

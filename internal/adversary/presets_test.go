@@ -125,7 +125,7 @@ func (c *chattyNode) Quiescent() bool { return c.step >= c.budget }
 // every component implementing sim.SendObserver.
 func TestComposedObserveSendForwarding(t *testing.T) {
 	sched := &observingSchedule{}
-	crash := NewCrashOnFirstSend(1)
+	crash := &crashSenders{}
 	adv := Compose(sched, nil, crash)
 	m := sim.Message{From: 3, To: 5, SentAt: 2, ReadyAt: 4}
 	adv.ObserveSend(m)
@@ -144,6 +144,18 @@ type observingSchedule struct {
 }
 
 func (o *observingSchedule) ObserveSend(sim.Message) { o.seen++ }
+
+// crashSenders is an adaptive crash policy: it crashes every process it has
+// seen send, at the next step.
+type crashSenders struct{ pending []sim.ProcID }
+
+func (c *crashSenders) ObserveSend(m sim.Message) { c.pending = append(c.pending, m.From) }
+
+func (c *crashSenders) Append(_ sim.Time, _ sim.View, buf []sim.ProcID) []sim.ProcID {
+	buf = append(buf, c.pending...)
+	c.pending = c.pending[:0]
+	return buf
+}
 
 func TestSkewedStrideRespectsDelta(t *testing.T) {
 	const n, delta = 16, 4

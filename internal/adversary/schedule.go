@@ -160,33 +160,3 @@ func (s *SkewedStride) Append(t sim.Time, _ sim.View, buf []sim.ProcID) []sim.Pr
 	}
 	return buf
 }
-
-// SubsetSchedule schedules only the given subset of processes (every step);
-// all other processes are starved. It deliberately violates the δ bound for
-// the starved processes — it models the Theorem 1 adversary's tactic of
-// running one partition "fast" while another is frozen, and is also used to
-// isolate partitions in unit tests.
-type SubsetSchedule struct {
-	procs []sim.ProcID
-}
-
-var _ Schedule = (*SubsetSchedule)(nil)
-
-// NewSubsetSchedule schedules exactly procs at every step.
-func NewSubsetSchedule(procs []sim.ProcID) *SubsetSchedule {
-	cp := make([]sim.ProcID, len(procs))
-	copy(cp, procs)
-	return &SubsetSchedule{procs: cp}
-}
-
-// SetProcs replaces the scheduled subset (the adaptive adversary moves the
-// "active partition" between execution phases).
-func (s *SubsetSchedule) SetProcs(procs []sim.ProcID) {
-	s.procs = s.procs[:0]
-	s.procs = append(s.procs, procs...)
-}
-
-// Append implements Schedule.
-func (s *SubsetSchedule) Append(_ sim.Time, _ sim.View, buf []sim.ProcID) []sim.ProcID {
-	return append(buf, s.procs...)
-}

@@ -52,13 +52,6 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, wordsFor(n))}
 }
 
-// NewFull returns the set {0, 1, ..., n-1}.
-func NewFull(n int) *Set {
-	s := New(n)
-	s.Fill()
-	return s
-}
-
 // Universe returns the size n of the universe [0, n).
 func (s *Set) Universe() int { return s.n }
 
@@ -234,33 +227,6 @@ func (s *Set) UnionWith(t *Set) {
 	s.trim()
 }
 
-// IntersectWith removes from s every element not in t.
-func (s *Set) IntersectWith(t *Set) {
-	s.ensureOwned()
-	for i := range s.words {
-		if t == nil || i >= len(t.words) {
-			s.words[i] = 0
-		} else {
-			s.words[i] &= t.words[i]
-		}
-	}
-}
-
-// DifferenceWith removes from s every element of t.
-func (s *Set) DifferenceWith(t *Set) {
-	if t == nil {
-		return
-	}
-	s.ensureOwned()
-	m := len(s.words)
-	if len(t.words) < m {
-		m = len(t.words)
-	}
-	for i := 0; i < m; i++ {
-		s.words[i] &^= t.words[i]
-	}
-}
-
 // SubsetOf reports whether every element of s is in t.
 func (s *Set) SubsetOf(t *Set) bool {
 	for i, w := range s.words {
@@ -341,36 +307,6 @@ func (s *Set) Elements() []int {
 		return true
 	})
 	return out
-}
-
-// IntersectionCount returns |s ∩ t| without allocating.
-func (s *Set) IntersectionCount(t *Set) int {
-	if t == nil {
-		return 0
-	}
-	c := 0
-	m := len(s.words)
-	if len(t.words) < m {
-		m = len(t.words)
-	}
-	for i := 0; i < m; i++ {
-		c += bits.OnesCount64(s.words[i] & t.words[i])
-	}
-	return c
-}
-
-// MissingFrom returns the number of elements of s that are not in t,
-// i.e. |s \ t|.
-func (s *Set) MissingFrom(t *Set) int {
-	c := 0
-	for i, w := range s.words {
-		var tw uint64
-		if t != nil && i < len(t.words) {
-			tw = t.words[i]
-		}
-		c += bits.OnesCount64(w &^ tw)
-	}
-	return c
 }
 
 // String renders the set as "{a, b, c}"; large sets are abbreviated.

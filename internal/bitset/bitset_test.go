@@ -92,20 +92,19 @@ func TestUnionIntersectDifference(t *testing.T) {
 			t.Fatalf("union bit %d = %v, want %v", i, u.Test(i), want)
 		}
 	}
-	x := a.Clone()
-	x.IntersectWith(b)
-	for i := 0; i < 200; i++ {
-		want := i%2 == 0 && i%3 == 0
-		if x.Test(i) != want {
-			t.Fatalf("intersect bit %d = %v, want %v", i, x.Test(i), want)
-		}
+	// a \ b by AppendDiff, and a ∩ b as a \ (a \ b).
+	diff := a.AppendDiff(b, nil)
+	d, x := New(200), a.Clone()
+	for _, i := range diff {
+		d.Add(int(i))
+		x.Remove(int(i))
 	}
-	d := a.Clone()
-	d.DifferenceWith(b)
 	for i := 0; i < 200; i++ {
-		want := i%2 == 0 && i%3 != 0
-		if d.Test(i) != want {
+		if want := i%2 == 0 && i%3 != 0; d.Test(i) != want {
 			t.Fatalf("difference bit %d = %v, want %v", i, d.Test(i), want)
+		}
+		if want := i%2 == 0 && i%3 == 0; x.Test(i) != want {
+			t.Fatalf("intersect bit %d = %v, want %v", i, x.Test(i), want)
 		}
 	}
 }
@@ -200,26 +199,6 @@ func TestForEachElements(t *testing.T) {
 	}
 }
 
-func TestIntersectionAndMissingCounts(t *testing.T) {
-	a := New(128)
-	b := New(128)
-	for i := 0; i < 64; i++ {
-		a.Add(i)
-	}
-	for i := 32; i < 96; i++ {
-		b.Add(i)
-	}
-	if got := a.IntersectionCount(b); got != 32 {
-		t.Fatalf("IntersectionCount = %d, want 32", got)
-	}
-	if got := a.MissingFrom(b); got != 32 {
-		t.Fatalf("MissingFrom = %d, want 32", got)
-	}
-	if got := a.MissingFrom(nil); got != 64 {
-		t.Fatalf("MissingFrom(nil) = %d, want 64", got)
-	}
-}
-
 func TestStringSmall(t *testing.T) {
 	s := New(10)
 	s.Add(1)
@@ -254,7 +233,14 @@ func TestQuickUnionLaws(t *testing.T) {
 			return false
 		}
 		// |a ∪ b| = |a| + |b| - |a ∩ b|
-		if ab.Count() != a.Count()+b.Count()-a.IntersectionCount(b) {
+		both := 0
+		a.ForEach(func(i int) bool {
+			if b.Test(i) {
+				both++
+			}
+			return true
+		})
+		if ab.Count() != a.Count()+b.Count()-both {
 			return false
 		}
 		// idempotence

@@ -171,43 +171,6 @@ func (m *Matrix) RowContainsSet(row int, set *Set) bool {
 	return true
 }
 
-// RowsContainingSet returns the number of rows that are supersets of set.
-// For gossip, n - RowsContainingSet(V) = |L(p)|, the number of processes
-// that have not provably been sent every rumor in V.
-func (m *Matrix) RowsContainingSet(set *Set) int {
-	c := 0
-	for row := 0; row < m.n; row++ {
-		if m.RowContainsSet(row, set) {
-			c++
-		}
-	}
-	return c
-}
-
-// AllRowsContainSet reports whether every row is a superset of set
-// (i.e. L(p) = ∅ in gossip terms).
-func (m *Matrix) AllRowsContainSet(set *Set) bool {
-	for row := 0; row < m.n; row++ {
-		if !m.RowContainsSet(row, set) {
-			return false
-		}
-	}
-	return true
-}
-
-// RowCount returns the number of set bits in a row.
-func (m *Matrix) RowCount(row int) int {
-	if row < 0 || row >= m.n {
-		return 0
-	}
-	base := row * m.stride
-	c := 0
-	for i := 0; i < m.stride; i++ {
-		c += bits.OnesCount64(m.words[base+i])
-	}
-	return c
-}
-
 // Count returns the total number of set bits.
 func (m *Matrix) Count() int {
 	c := 0

@@ -43,27 +43,12 @@ func TestMatrixRowOps(t *testing.T) {
 	if !m.RowContainsSet(7, v) {
 		t.Fatal("row 7 should contain v after RowUnionSet")
 	}
-	if got := m.RowCount(7); got != 3 {
-		t.Fatalf("RowCount(7) = %d, want 3", got)
-	}
 	if m.RowContainsSet(8, v) {
 		t.Fatal("row 8 should not contain v")
 	}
-	if got := m.RowsContainingSet(v); got != 1 {
-		t.Fatalf("RowsContainingSet = %d, want 1", got)
-	}
 	// Empty set is contained in every row.
-	if got := m.RowsContainingSet(New(n)); got != n {
-		t.Fatalf("RowsContainingSet(empty) = %d, want %d", got, n)
-	}
-	if m.AllRowsContainSet(v) {
-		t.Fatal("AllRowsContainSet should be false")
-	}
-	for q := 0; q < n; q++ {
-		m.RowUnionSet(q, v)
-	}
-	if !m.AllRowsContainSet(v) {
-		t.Fatal("AllRowsContainSet should be true after union into every row")
+	if !m.RowContainsSet(8, New(n)) {
+		t.Fatal("row 8 should contain the empty set")
 	}
 }
 
@@ -134,20 +119,5 @@ func TestQuickMatrixRowContains(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkMatrixRowsContaining512(b *testing.B) {
-	n := 512
-	m := NewMatrix(n)
-	v := NewFull(n)
-	for q := 0; q < n; q++ {
-		m.RowUnionSet(q, v)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m.RowsContainingSet(v) != n {
-			b.Fatal("bad count")
-		}
 	}
 }

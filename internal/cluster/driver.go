@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/syncgossip"
 )
 
 // Run modes.
@@ -130,7 +131,7 @@ func Run(ctx context.Context, spec scenario.Spec, opts Options) (*Result, error)
 	launch := opts.Launch
 	if launch == nil {
 		mode = ModeInproc
-		proto, err := scenario.ProtocolByName(spec.Protocol)
+		proto, err := syncgossip.ProtocolByName(spec.Protocol)
 		if err != nil {
 			return nil, err
 		}

@@ -64,9 +64,6 @@ func NewRegistry(addr string, epoch int64) (*Registry, error) {
 // Addr returns the registry's concrete address.
 func (r *Registry) Addr() string { return r.ln.Addr().String() }
 
-// Epoch returns the shared run epoch (UnixNano).
-func (r *Registry) Epoch() int64 { return r.epoch }
-
 func (r *Registry) acceptLoop() {
 	defer r.wg.Done()
 	for {

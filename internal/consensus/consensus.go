@@ -217,9 +217,6 @@ func (n *Node) Decided() (bool, uint8, sim.Time) {
 // Rounds returns the number of voting rounds the node entered.
 func (n *Node) Rounds() int { return n.rounds }
 
-// Input returns the node's proposal.
-func (n *Node) Input() uint8 { return n.input }
-
 // Outputs returns the node's completed get-core outputs (tests verify the
 // common-core property on them).
 func (n *Node) Outputs() []*core.Rumors { return n.outputs }

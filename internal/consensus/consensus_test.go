@@ -40,7 +40,7 @@ func tryRunConsensus(p Params, inputs []uint8, cfg sim.Config, preset string) (s
 func TestDirectUnanimousDecidesRoundOne(t *testing.T) {
 	for _, v := range []uint8{0, 1} {
 		cfg := sim.Config{N: 16, F: 0, D: 1, Delta: 1, Seed: 1}
-		inputs := UniformInputs(16, v)
+		inputs := uniformInputs(16, v)
 		res := runConsensus(t, Params{Transport: TransportDirect}, inputs, cfg, adversary.PresetBenign)
 		if !res.Completed {
 			t.Fatalf("v=%d: %+v", v, res)
@@ -87,7 +87,7 @@ func TestValidityUnanimousUnderCrashes(t *testing.T) {
 	// overturn it even with maximal minority failures.
 	for _, kind := range TransportKinds() {
 		cfg := sim.Config{N: 24, F: 11, D: 2, Delta: 1, Seed: 9}
-		inputs := UniformInputs(24, 1)
+		inputs := uniformInputs(24, 1)
 		p := Params{Transport: kind}
 		p.N, p.F = cfg.N, cfg.F
 		nodes, err := NewNodes(p, inputs, cfg.Seed)
@@ -128,6 +128,15 @@ func TestCommonCorePropertyTEARS(t *testing.T) {
 	checkCommonCore(t, Params{Transport: TransportTEARS}, cfg)
 }
 
+// uniformInputs returns n copies of v.
+func uniformInputs(n int, v uint8) []uint8 {
+	in := make([]uint8, n)
+	for i := range in {
+		in[i] = v
+	}
+	return in
+}
+
 func checkCommonCore(t *testing.T, p Params, cfg sim.Config) {
 	t.Helper()
 	p.N, p.F = cfg.N, cfg.F
@@ -161,7 +170,11 @@ func checkCommonCore(t *testing.T, p Params, cfg sim.Config) {
 		if common == nil {
 			common = outs[0].Set.Clone()
 		} else {
-			common.IntersectWith(outs[0].Set)
+			for _, v := range common.Elements() {
+				if !outs[0].Set.Test(v) {
+					common.Remove(v)
+				}
+			}
 		}
 	}
 	if common == nil {
@@ -195,13 +208,13 @@ func TestSingleProcessDecidesAlone(t *testing.T) {
 }
 
 func TestParamsValidation(t *testing.T) {
-	if _, err := NewNodes(Params{N: 4, F: 2}, UniformInputs(4, 0), 1); err == nil {
+	if _, err := NewNodes(Params{N: 4, F: 2}, uniformInputs(4, 0), 1); err == nil {
 		t.Fatal("F = N/2 accepted (need strict minority)")
 	}
-	if _, err := NewNodes(Params{N: 4, F: 1}, UniformInputs(3, 0), 1); err == nil {
+	if _, err := NewNodes(Params{N: 4, F: 1}, uniformInputs(3, 0), 1); err == nil {
 		t.Fatal("wrong input count accepted")
 	}
-	if _, err := NewNodes(Params{N: 4, F: 1, Transport: "bogus"}, UniformInputs(4, 0), 1); err == nil {
+	if _, err := NewNodes(Params{N: 4, F: 1, Transport: "bogus"}, uniformInputs(4, 0), 1); err == nil {
 		t.Fatal("bogus transport accepted")
 	}
 	if _, err := NewNode(0, 7, Params{N: 4, F: 1}.WithDefaults(), nil, NewCommonCoin(1)); err == nil {

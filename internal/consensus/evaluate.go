@@ -45,15 +45,6 @@ func RandomInputs(n int, seed int64) []uint8 {
 	return in
 }
 
-// UniformInputs returns n copies of v.
-func UniformInputs(n int, v uint8) []uint8 {
-	in := make([]uint8, n)
-	for i := range in {
-		in[i] = v
-	}
-	return in
-}
-
 // Evaluator judges a consensus run:
 //
 //	Agreement   — every decided process (correct or crashed) decided the

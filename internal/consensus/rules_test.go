@@ -166,7 +166,7 @@ func TestStragglerCatchesUpViaProbes(t *testing.T) {
 		switchAt = 2000
 	)
 	p := Params{N: n, F: 0, Transport: TransportDirect}
-	inputs := UniformInputs(n, 1)
+	inputs := uniformInputs(n, 1)
 	nodes, err := NewNodes(p, inputs, 5)
 	if err != nil {
 		t.Fatal(err)

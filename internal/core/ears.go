@@ -173,15 +173,6 @@ func (e *earsNode) CloneNode() sim.Node {
 // Asleep reports whether the node is past its shut-down phase (test hook).
 func (e *earsNode) Asleep() bool { return e.Quiescent() }
 
-// InformedPairs returns |I(p)| (test hook).
-func (e *earsNode) InformedPairs() int { return e.inf.m.Count() }
-
-// InformedHas reports whether (rumor, target) ∈ I(p) (test hook for the
-// informed-list soundness property).
-func (e *earsNode) InformedHas(rumor, target sim.ProcID) bool {
-	return e.inf.m.Test(int(target), int(rumor))
-}
-
 // informedList maintains I(p) together with an incrementally updated
 // uncovered-row set L(p). Rows only gain bits and V only grows, so:
 // absorbing more informed pairs can only shrink L(p) (recheck uncovered

@@ -100,7 +100,7 @@ func TestEARSAdaptiveCrashOnFirstSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := adversary.Compose(nil, nil, adversary.NewCrashOnFirstSend(cfg.F))
+	adv := adversary.Compose(nil, nil, &crashOnFirstSend{budget: cfg.F, sent: map[sim.ProcID]bool{}})
 	w, err := sim.NewWorld(cfg, nodes, adv)
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +112,30 @@ func TestEARSAdaptiveCrashOnFirstSend(t *testing.T) {
 	if res.Crashes != cfg.F {
 		t.Fatalf("crashes = %d, want %d", res.Crashes, cfg.F)
 	}
+}
+
+// crashOnFirstSend is an adaptive crash policy: it crashes each process the
+// moment it first sends, until the budget is spent — the Theorem 1 proof's
+// adversary "selectively failing processes that may attempt to help".
+type crashOnFirstSend struct {
+	budget  int
+	sent    map[sim.ProcID]bool
+	pending []sim.ProcID
+}
+
+func (c *crashOnFirstSend) ObserveSend(m sim.Message) {
+	if c.budget <= 0 || c.sent[m.From] {
+		return
+	}
+	c.sent[m.From] = true
+	c.pending = append(c.pending, m.From)
+	c.budget--
+}
+
+func (c *crashOnFirstSend) Append(_ sim.Time, _ sim.View, buf []sim.ProcID) []sim.ProcID {
+	buf = append(buf, c.pending...)
+	c.pending = c.pending[:0]
+	return buf
 }
 
 func TestSEARSCompletesAllPresets(t *testing.T) {
@@ -211,7 +235,7 @@ func TestTEARSLemma8StepSends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := sim.NewStepSendCounter(cfg.N)
+	counter := &stepSendCounter{perStep: make([][]int, cfg.N), current: make([]int, cfg.N)}
 	w.SetTracer(counter)
 	if _, err := w.Run(TEARS{}.Evaluator(p)); err != nil {
 		t.Fatal(err)
@@ -219,8 +243,8 @@ func TestTEARSLemma8StepSends(t *testing.T) {
 	a, kappa := p.tearsA(), p.tearsKappa()
 	lo, hi := a-2*kappa, a+2*kappa // Lemma 8 gives a±κ whp; allow 2κ slack
 	violations := 0
-	for pid := range counter.PerStep {
-		for _, sends := range counter.PerStep[pid] {
+	for pid := range counter.perStep {
+		for _, sends := range counter.perStep[pid] {
 			if sends == 0 {
 				continue
 			}
@@ -234,6 +258,22 @@ func TestTEARSLemma8StepSends(t *testing.T) {
 	}
 }
 
+// stepSendCounter records, per process, how many messages it sent in each
+// of its local steps.
+type stepSendCounter struct {
+	sim.NopTracer
+	perStep [][]int
+	current []int // sends of the in-progress step
+}
+
+func (c *stepSendCounter) OnSend(m sim.Message) { c.current[m.From]++ }
+
+// OnStep fires after the step's sends, so current[p] is that step's count.
+func (c *stepSendCounter) OnStep(p sim.ProcID, _ sim.Time) {
+	c.perStep[p] = append(c.perStep[p], c.current[p])
+	c.current[p] = 0
+}
+
 func TestTEARSAudienceConcentration(t *testing.T) {
 	p := Params{N: 1024, F: 0}.WithDefaults()
 	nodes, err := NewNodes(TEARS{}, p, 7)
@@ -243,7 +283,7 @@ func TestTEARSAudienceConcentration(t *testing.T) {
 	a := p.tearsA()
 	for _, nd := range nodes {
 		tn := nd.(*tearsNode)
-		s1, s2 := tn.AudienceSizes()
+		s1, s2 := len(tn.pi1), len(tn.pi2)
 		for _, s := range []int{s1, s2} {
 			if s < a/2 || s > 2*a {
 				t.Fatalf("audience size %d far from a = %d", s, a)
@@ -362,7 +402,7 @@ func TestEARSInformedListMonotone(t *testing.T) {
 		if !en.Asleep() {
 			t.Fatalf("node %d not asleep after quiet world", en.ID())
 		}
-		if got, max := en.InformedPairs(), cfg.N*cfg.N; got > max {
+		if got, max := en.inf.m.Count(), cfg.N*cfg.N; got > max {
 			t.Fatalf("informed pairs %d > n² = %d", got, max)
 		}
 	}

@@ -164,7 +164,7 @@ func TestEARSInformedListSoundness(t *testing.T) {
 			en := nd.(*earsNode)
 			for q := 0; q < cfg.N; q++ {
 				for r := 0; r < cfg.N; r++ {
-					if en.InformedHas(sim.ProcID(r), sim.ProcID(q)) && !tracer.sentTo[q].Test(r) {
+					if en.inf.m.Test(q, r) && !tracer.sentTo[q].Test(r) {
 						t.Fatalf("seed %d: node %d's I claims rumor %d sent to %d, but no such send happened",
 							seed, en.ID(), r, q)
 					}

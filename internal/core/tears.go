@@ -205,13 +205,3 @@ func (t *tearsNode) CloneNode() sim.Node {
 		r:        t.r.Clone(),
 	}
 }
-
-// AudienceSizes returns |Π1|, |Π2| (test hook for the paper's Lemma 8
-// concentration claim).
-func (t *tearsNode) AudienceSizes() (int, int) { return len(t.pi1), len(t.pi2) }
-
-// SecondLevelBroadcasts returns the number of Π2 broadcasts performed.
-func (t *tearsNode) SecondLevelBroadcasts() int { return t.sentSnd }
-
-// FirstLevelReceived returns the number of flag-up messages received.
-func (t *tearsNode) FirstLevelReceived() int { return t.upCnt }

@@ -246,12 +246,6 @@ func decodeMatrixBitmap(src []byte, n int) (*bitset.Matrix, []byte, error) {
 	return m, src[need:], nil
 }
 
-// NewWireGossipPayload assembles a GossipPayload from decoded parts; it
-// exists for tests that build payloads outside a protocol node.
-func NewWireGossipPayload(rumors *Rumors, informed *bitset.Matrix, flag bool) *GossipPayload {
-	return &GossipPayload{Rumors: rumors, Informed: informedSnapshot{m: informed}, Flag: flag}
-}
-
 // WirePayloadEquals reports deep equality of two payloads, ignoring pool
 // bookkeeping; codec tests use it to verify round-trips.
 func WirePayloadEquals(a, b sim.Payload) bool {

@@ -6,6 +6,11 @@ import (
 	"repro/internal/bitset"
 )
 
+// gossipPayload assembles a GossipPayload from parts, as a decoder would.
+func gossipPayload(rumors *Rumors, informed *bitset.Matrix, flag bool) *GossipPayload {
+	return &GossipPayload{Rumors: rumors, Informed: informedSnapshot{m: informed}, Flag: flag}
+}
+
 // wirePayloads enumerates one representative of every encodable shape.
 func wirePayloads() map[string]interface{} {
 	set := bitset.New(12)
@@ -23,10 +28,10 @@ func wirePayloads() map[string]interface{} {
 		full.Add(i)
 	}
 	return map[string]interface{}{
-		"gossip-rumors-vals-informed": NewWireGossipPayload(&Rumors{Set: set, Vals: vals}, m, false),
-		"gossip-rumors-only":          NewWireGossipPayload(&Rumors{Set: full}, nil, false),
-		"gossip-informed-flag":        NewWireGossipPayload(nil, m, true),
-		"gossip-empty":                NewWireGossipPayload(nil, nil, false),
+		"gossip-rumors-vals-informed": gossipPayload(&Rumors{Set: set, Vals: vals}, m, false),
+		"gossip-rumors-only":          gossipPayload(&Rumors{Set: full}, nil, false),
+		"gossip-informed-flag":        gossipPayload(nil, m, true),
+		"gossip-empty":                gossipPayload(nil, nil, false),
 		"pp-rumor":                    ppRumor,
 		"pp-request":                  ppRequest,
 		"avg":                         AvgPayload{S: -3.25, W: 0.125},
@@ -70,7 +75,7 @@ func TestPayloadWireTruncation(t *testing.T) {
 }
 
 func TestPayloadWireRejectsCorruption(t *testing.T) {
-	enc, err := AppendPayload(nil, NewWireGossipPayload(&Rumors{Set: bitset.New(4)}, nil, false))
+	enc, err := AppendPayload(nil, gossipPayload(&Rumors{Set: bitset.New(4)}, nil, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +113,7 @@ func TestPayloadWireRejectsPaddingBits(t *testing.T) {
 	set.Add(12)
 	m := bitset.NewMatrix(n)
 	m.Set(4, 12)
-	enc, err := AppendPayload(nil, NewWireGossipPayload(&Rumors{Set: set}, m, false))
+	enc, err := AppendPayload(nil, gossipPayload(&Rumors{Set: set}, m, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +144,7 @@ func TestPayloadWireRejectsUnsupported(t *testing.T) {
 	}
 	set := bitset.New(8)
 	m := bitset.NewMatrix(16)
-	if _, err := AppendPayload(nil, NewWireGossipPayload(&Rumors{Set: set}, m, false)); err == nil {
+	if _, err := AppendPayload(nil, gossipPayload(&Rumors{Set: set}, m, false)); err == nil {
 		t.Error("mismatched rumor/informed universes encoded")
 	}
 }
@@ -149,7 +154,7 @@ func TestPayloadWireRejectsUnsupported(t *testing.T) {
 func TestPayloadWireDecodeOwnsStorage(t *testing.T) {
 	set := bitset.New(8)
 	set.Add(2)
-	orig := NewWireGossipPayload(&Rumors{Set: set, Vals: make([]uint8, 8)}, nil, false)
+	orig := gossipPayload(&Rumors{Set: set, Vals: make([]uint8, 8)}, nil, false)
 	enc, err := AppendPayload(nil, orig)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,13 @@ import (
 	"repro/internal/consensus"
 )
 
+// measureConsensus runs one consensus spec over its seeds, on the spec's
+// own worker count.
+func measureConsensus(spec ConsensusSpec) (Measurement, error) {
+	ms, errs := measureConsensusGrid([]ConsensusSpec{spec}, Env{Workers: spec.Workers})
+	return ms[0], errs[0]
+}
+
 func TestMeasureGossipBasic(t *testing.T) {
 	m, err := MeasureGossip(GossipSpec{Proto: "trivial", N: 16, F: 4, D: 1, Delta: 1, Seeds: 2})
 	if err != nil {
@@ -47,13 +54,13 @@ func TestMeasureShardsInvisible(t *testing.T) {
 	}
 
 	cbase := ConsensusSpec{Transport: consensus.TransportTEARS, N: 21, F: 5, D: 2, Delta: 2, Seeds: 2}
-	cserial, err := MeasureConsensus(cbase)
+	cserial, err := measureConsensus(cbase)
 	if err != nil {
 		t.Fatal(err)
 	}
 	csharded := cbase
 	csharded.Shards = 4
-	cm, err := MeasureConsensus(csharded)
+	cm, err := measureConsensus(csharded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +107,7 @@ func TestMeasureGossipUnknownProto(t *testing.T) {
 }
 
 func TestMeasureConsensusBasic(t *testing.T) {
-	m, err := MeasureConsensus(ConsensusSpec{
+	m, err := measureConsensus(ConsensusSpec{
 		Transport: consensus.TransportDirect, N: 16, F: 7, D: 1, Delta: 1, Seeds: 2,
 	})
 	if err != nil {
@@ -363,11 +370,11 @@ func TestRumorLatencyQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency in -short mode")
 	}
-	out, err := RumorLatencyTable(Env{}, 1)
+	tbl, err := RumorLatencyTables(Env{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", out)
+	t.Logf("\n%s", tbl)
 	// sears' per-rumor latency must be far below ears' (constant vs
 	// polylog spreading).
 	rEars, err := RumorLatency("ears", Env{}, 1)

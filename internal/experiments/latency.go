@@ -9,6 +9,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/syncgossip"
 )
 
 // RumorLatencyResult reports the distribution of per-rumor dissemination
@@ -27,7 +28,7 @@ type RumorLatencyResult struct {
 // seed grid fans across env.Workers and latencies are collected in seed
 // order.
 func RumorLatency(proto string, env Env, seed int64) (*RumorLatencyResult, error) {
-	p, err := protoByName(proto)
+	p, err := syncgossip.ProtocolByName(proto)
 	if err != nil {
 		return nil, err
 	}
@@ -103,13 +104,4 @@ func RumorLatencyTables(env Env, seed int64) (*stats.Table, error) {
 	}
 	t.AddNote("tears is excluded: majority gossip does not promise full per-rumor coverage.")
 	return t, nil
-}
-
-// RumorLatencyTable renders RumorLatencyTables as text.
-func RumorLatencyTable(env Env, seed int64) (string, error) {
-	t, err := RumorLatencyTables(env, seed)
-	if err != nil {
-		return "", err
-	}
-	return t.String(), nil
 }

@@ -107,17 +107,6 @@ type Measurement struct {
 	Failures   int // runs whose evaluator rejected or that timed out
 }
 
-// protoByName resolves asynchronous and synchronous protocols.
-func protoByName(name string) (core.Protocol, error) {
-	if p, err := core.ByName(name); err == nil {
-		return p, nil
-	}
-	if p, err := syncgossip.ByName(name); err == nil {
-		return p, nil
-	}
-	return nil, fmt.Errorf("experiments: unknown protocol %q", name)
-}
-
 // MeasureGossip runs the spec over its seeds and aggregates.
 func MeasureGossip(spec GossipSpec) (Measurement, error) {
 	ms, errs := measureGossipGrid([]GossipSpec{spec}, Env{Workers: spec.Workers})
@@ -218,7 +207,7 @@ func measureGossipGrid(specs []GossipSpec, env Env) ([]Measurement, []error) {
 		}
 		// Resolve the protocol up front (serial MeasureGossip fails before
 		// running any seed on an unknown name).
-		proto, err := protoByName(spec.Proto)
+		proto, err := syncgossip.ProtocolByName(spec.Proto)
 		jobs[i] = gridJob{
 			seeds: spec.Seeds,
 			err:   err,
@@ -301,12 +290,6 @@ func (s ConsensusSpec) withDefaults() ConsensusSpec {
 		s.Preset = adversary.PresetStandard
 	}
 	return s
-}
-
-// MeasureConsensus runs the spec over its seeds and aggregates.
-func MeasureConsensus(spec ConsensusSpec) (Measurement, error) {
-	ms, errs := measureConsensusGrid([]ConsensusSpec{spec}, Env{Workers: spec.Workers})
-	return ms[0], errs[0]
 }
 
 // measureConsensusGrid is measureGossipGrid for consensus specs.

@@ -153,23 +153,3 @@ func intsContain(s []int, v int) bool {
 	}
 	return false
 }
-
-// Geometric returns a sample from a geometric distribution with success
-// probability p: the number of Bernoulli(p) trials up to and including the
-// first success (support {1, 2, ...}). Used by workload generators.
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 1
-	}
-	if p <= 0 {
-		return 1 << 30
-	}
-	n := 1
-	for !r.Bool(p) {
-		n++
-		if n >= 1<<30 {
-			break
-		}
-	}
-	return n
-}

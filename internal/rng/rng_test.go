@@ -190,22 +190,6 @@ func TestSample(t *testing.T) {
 	}
 }
 
-func TestGeometric(t *testing.T) {
-	r := New(23)
-	if r.Geometric(1) != 1 {
-		t.Fatal("Geometric(1) != 1")
-	}
-	sum := 0
-	const trials = 20000
-	for i := 0; i < trials; i++ {
-		sum += r.Geometric(0.5)
-	}
-	mean := float64(sum) / trials
-	if math.Abs(mean-2.0) > 0.1 {
-		t.Fatalf("Geometric(0.5) mean %v, want ~2", mean)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,7 @@
 // Parallel-vs-serial equivalence: the acceptance bar for the execution
 // engine is that fanning a (spec × seed) grid across workers changes
 // nothing but wall-clock time. These tests run real experiment specs —
-// a Table 1 point and a topology point — at workers=1 and workers=8 and
+// a Table 1 point, a topology point and Table 2 — at workers=1 and workers=8 and
 // require identical Measurement values (and they run under -race in CI,
 // so a data race in the pool or the harness fails them too).
 package runner_test
@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/consensus"
 	"repro/internal/experiments"
 )
 
@@ -57,16 +56,14 @@ func TestGossipParallelEqualsSerialTopologySpec(t *testing.T) {
 }
 
 func TestConsensusParallelEqualsSerial(t *testing.T) {
-	spec := experiments.ConsensusSpec{
-		Transport: consensus.TransportTEARS, N: 24, F: 11, D: 2, Delta: 2, Seeds: 4,
-	}
-	spec.Workers = 1
-	serial, err := experiments.MeasureConsensus(spec)
+	// Table 2: consensus over every transport (direct, ears, sears, tears)
+	// on one grid, so this pins each get-core transport inside worker
+	// goroutines.
+	serial, err := experiments.Table2(experiments.Env{Workers: 1}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Workers = 8
-	parallel, err := experiments.MeasureConsensus(spec)
+	parallel, err := experiments.Table2(experiments.Env{Workers: 8}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

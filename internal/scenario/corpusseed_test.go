@@ -195,9 +195,9 @@ func TestSeedCorpusCommitted(t *testing.T) {
 		}
 		families[topo] = true
 	}
-	for _, p := range Protocols() {
-		if !protos[p] {
-			t.Errorf("no seed entry for protocol %s", p)
+	for _, p := range genProtocols {
+		if !protos[p.name] {
+			t.Errorf("no seed entry for protocol %s", p.name)
 		}
 	}
 	for _, f := range append([]string{topology.FamilyComplete}, genSparseFamilies...) {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/syncgossip"
 )
 
 // kernelFault, when non-nil, mutates the kernel configuration just before
@@ -62,7 +63,7 @@ func Execute(spec Spec) (*Execution, error) {
 
 // ExecuteTraced is Execute with an extra observer teed into the primary
 // run's tracer chain — the seam telemetry rides (e.g. telemetry.Recorder,
-// trace.Timeline). The extra tracer observes the pooled run only, never
+// telemetry.Timeline). The extra tracer observes the pooled run only, never
 // the unpooled twin, and — like all tracers — cannot affect the run: the
 // digest with and without an extra tracer is identical, which the
 // determinism tests pin.
@@ -109,7 +110,7 @@ func ExecuteTraced(spec Spec, extra sim.Tracer) (*Execution, error) {
 // unpooled twin); shards > 1 selects the sharded superstep kernel (the
 // sharded twin); the tracer observes every event.
 func runOnce(spec Spec, noPool bool, shards int, tracer sim.Tracer) (sim.View, []sim.Node, sim.Result, error, error) {
-	proto, err := ProtocolByName(spec.Protocol)
+	proto, err := syncgossip.ProtocolByName(spec.Protocol)
 	if err != nil {
 		return nil, nil, sim.Result{}, nil, err
 	}

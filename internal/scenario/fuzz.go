@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/rng"
@@ -436,15 +435,4 @@ func fuzzSpec(spec Spec, master, index int64, shrinkBudget int) (cellOutcome, er
 		ShrinkRuns: shrinkRuns,
 	}
 	return out, nil
-}
-
-// Protocols returns the sorted protocol names in the generator's draw
-// table (documentation and CLI help).
-func Protocols() []string {
-	names := make([]string, 0, len(genProtocols))
-	for _, p := range genProtocols {
-		names = append(names, p.name)
-	}
-	sort.Strings(names)
-	return names
 }

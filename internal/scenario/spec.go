@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
-	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/syncgossip"
@@ -139,8 +138,8 @@ const ShardsAuto = -1
 
 // Validate checks that the spec describes a runnable scenario.
 func (s Spec) Validate() error {
-	if _, err := ProtocolByName(s.Protocol); err != nil {
-		return err
+	if _, err := syncgossip.ProtocolByName(s.Protocol); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	switch {
 	case s.N < 1:
@@ -178,17 +177,6 @@ func (s Spec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ProtocolByName resolves a protocol from the core or syncgossip registries.
-func ProtocolByName(name string) (core.Protocol, error) {
-	if p, err := core.ByName(name); err == nil {
-		return p, nil
-	}
-	if p, err := syncgossip.ByName(name); err == nil {
-		return p, nil
-	}
-	return nil, fmt.Errorf("scenario: unknown protocol %q", name)
 }
 
 // BuildGraph builds the spec's topology (nil for the complete graph,

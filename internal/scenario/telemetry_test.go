@@ -2,12 +2,10 @@ package scenario
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // TestTelemetryObservationOnly pins the tentpole contract of the telemetry
@@ -24,13 +22,9 @@ func TestTelemetryObservationOnly(t *testing.T) {
 
 	rec := telemetry.NewRecorder(spec.N)
 	chrome := telemetry.NewChromeTracer(0)
-	nd := telemetry.NewNDJSONTracer(io.Discard)
-	tl := trace.NewTimeline(spec.N, 120)
-	traced, err := ExecuteTraced(spec, sim.Tee(rec, chrome, nd, tl))
+	tl := telemetry.NewTimeline(spec.N, 120)
+	traced, err := ExecuteTraced(spec, sim.Tee(rec, chrome, tl))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nd.Flush(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -303,12 +303,9 @@ func (c *InvariantChecker) OnCrash(p ProcID, t Time) {
 // Crashes returns the number of distinct crashes observed.
 func (c *InvariantChecker) Crashes() int { return c.crashes }
 
-// Violations returns the recorded invariant breaches (capped; see
-// Truncated for the overflow count).
+// Violations returns the recorded invariant breaches, capped at
+// maxCheckerViolations; Err reports the full count.
 func (c *InvariantChecker) Violations() []Violation { return c.violations }
-
-// Truncated returns how many violations were dropped past the cap.
-func (c *InvariantChecker) Truncated() int64 { return c.truncated }
 
 // Err returns nil when no invariant was violated, or an error summarizing
 // the first breach and the total count.

@@ -134,8 +134,8 @@ func TestCheckerViolationCap(t *testing.T) {
 	if got := len(c.Violations()); got != maxCheckerViolations {
 		t.Fatalf("violations not capped: %d", got)
 	}
-	if c.Truncated() != 2*maxCheckerViolations {
-		t.Fatalf("truncated = %d, want %d", c.Truncated(), 2*maxCheckerViolations)
+	if c.truncated != 2*maxCheckerViolations {
+		t.Fatalf("truncated = %d, want %d", c.truncated, 2*maxCheckerViolations)
 	}
 }
 

@@ -54,17 +54,6 @@ func (m *Metrics) TotalSteps() int64 {
 	return s
 }
 
-// MaxSentBy returns the largest per-process send count.
-func (m *Metrics) MaxSentBy() int64 {
-	var mx int64
-	for _, v := range m.SentBy {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
-
 // Result summarizes a finished run.
 type Result struct {
 	// Completed reports that the run went quiet and the evaluator accepted.

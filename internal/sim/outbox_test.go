@@ -61,11 +61,6 @@ func TestMetricsAggregates(t *testing.T) {
 	if got := m.TotalSteps(); got != 13 {
 		t.Fatalf("TotalSteps = %d", got)
 	}
-	m.SentBy[0] = 2
-	m.SentBy[2] = 9
-	if got := m.MaxSentBy(); got != 9 {
-		t.Fatalf("MaxSentBy = %d", got)
-	}
 }
 
 func TestNopTracerIsComplete(t *testing.T) {

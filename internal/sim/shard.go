@@ -354,11 +354,6 @@ func (e *shardEngine) isQuiet() bool {
 	return true
 }
 
-// count returns the pending-message count for process p.
-func (e *shardEngine) count(p int) int {
-	return e.sh[ShardOf(e.w.cfg.N, e.shards, ProcID(p))].box.count(p)
-}
-
 // stats aggregates the per-shard mailbox arenas. Peak pending is summed
 // across shards: each shard's high-water mark is reached independently,
 // so the sum is an upper bound on the true global peak.

@@ -31,80 +31,13 @@ func (NopTracer) OnDeliver(Message, Time) {}
 // OnCrash implements Tracer.
 func (NopTracer) OnCrash(ProcID, Time) {}
 
-// StepSendCounter records, per (process, local step), how many messages the
-// process sent in that step. Used by the tears conformance tests for the
-// paper's Lemma 8 ("every process sends either 0 or between a−κ and a+κ
-// point-to-point messages in each step").
-type StepSendCounter struct {
-	NopTracer
-	// PerStep[p] lists the number of sends in each local step of p.
-	PerStep [][]int
-
-	current []int // sends observed in the in-progress step, per process
-}
-
-// NewStepSendCounter returns a counter for n processes.
-func NewStepSendCounter(n int) *StepSendCounter {
-	return &StepSendCounter{
-		PerStep: make([][]int, n),
-		current: make([]int, n),
-	}
-}
-
-// OnSend implements Tracer.
-func (c *StepSendCounter) OnSend(m Message) {
-	c.current[m.From]++
-}
-
-// OnStep implements Tracer. The kernel fires OnStep after the step's sends,
-// so c.current[p] holds exactly the sends of the step that just finished.
-func (c *StepSendCounter) OnStep(p ProcID, _ Time) {
-	c.PerStep[p] = append(c.PerStep[p], c.current[p])
-	c.current[p] = 0
-}
-
-// EventKind labels entries in an EventLog.
+// EventKind labels the events DigestTracer folds into its digest.
 type EventKind uint8
 
-// Event kinds recorded by EventLog.
+// Event kinds, one per Tracer callback.
 const (
 	EventStep EventKind = iota + 1
 	EventSend
 	EventDeliver
 	EventCrash
 )
-
-// Event is one recorded simulation event.
-type Event struct {
-	Kind EventKind
-	Time Time
-	Proc ProcID // stepping, sending or crashing process
-	Peer ProcID // message target (Send) or source (Deliver)
-}
-
-// EventLog records all events; intended for debugging and for causality
-// checks in tests (e.g. "rumor r reached p only along message paths").
-type EventLog struct {
-	NopTracer
-	Events []Event
-}
-
-// OnStep implements Tracer.
-func (l *EventLog) OnStep(p ProcID, t Time) {
-	l.Events = append(l.Events, Event{Kind: EventStep, Time: t, Proc: p})
-}
-
-// OnSend implements Tracer.
-func (l *EventLog) OnSend(m Message) {
-	l.Events = append(l.Events, Event{Kind: EventSend, Time: m.SentAt, Proc: m.From, Peer: m.To})
-}
-
-// OnDeliver implements Tracer.
-func (l *EventLog) OnDeliver(m Message, t Time) {
-	l.Events = append(l.Events, Event{Kind: EventDeliver, Time: t, Proc: m.To, Peer: m.From})
-}
-
-// OnCrash implements Tracer.
-func (l *EventLog) OnCrash(p ProcID, t Time) {
-	l.Events = append(l.Events, Event{Kind: EventCrash, Time: t, Proc: p})
-}

@@ -360,19 +360,3 @@ func (w *World) isQuiet() bool {
 	}
 	return true
 }
-
-// PendingCount returns the number of undelivered messages destined to live
-// processes (diagnostic).
-func (w *World) PendingCount() int {
-	c := 0
-	for p := 0; p < w.cfg.N; p++ {
-		if w.alive[p] {
-			if w.eng != nil {
-				c += w.eng.count(p)
-			} else {
-				c += w.box.count(p)
-			}
-		}
-	}
-	return c
-}

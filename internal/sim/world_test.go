@@ -287,54 +287,6 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestStepSendCounterTracer(t *testing.T) {
-	cfg := Config{N: 5, F: 0, D: 1, Delta: 1, Seed: 1}
-	w, _ := mkFloodWorld(t, cfg, everyStepAdv{delay: 1})
-	c := NewStepSendCounter(cfg.N)
-	w.SetTracer(c)
-	if _, err := w.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	for p := range c.PerStep {
-		if len(c.PerStep[p]) == 0 {
-			t.Fatalf("process %d recorded no steps", p)
-		}
-		if c.PerStep[p][0] != 4 {
-			t.Fatalf("process %d first step sent %d, want 4", p, c.PerStep[p][0])
-		}
-		for _, s := range c.PerStep[p][1:] {
-			if s != 0 {
-				t.Fatalf("process %d sent %d in a later step, want 0", p, s)
-			}
-		}
-	}
-}
-
-func TestEventLogTracer(t *testing.T) {
-	cfg := Config{N: 3, F: 0, D: 1, Delta: 1, Seed: 1}
-	w, _ := mkFloodWorld(t, cfg, everyStepAdv{delay: 1})
-	log := &EventLog{}
-	w.SetTracer(log)
-	if _, err := w.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	var sends, delivers int
-	for _, e := range log.Events {
-		switch e.Kind {
-		case EventSend:
-			sends++
-		case EventDeliver:
-			delivers++
-		}
-	}
-	if sends != 6 {
-		t.Fatalf("sends = %d, want 6", sends)
-	}
-	if delivers != 6 {
-		t.Fatalf("delivers = %d, want 6", delivers)
-	}
-}
-
 func TestDefaultMaxStepsScales(t *testing.T) {
 	small := DefaultMaxSteps(Config{N: 8, F: 0, D: 1, Delta: 1})
 	big := DefaultMaxSteps(Config{N: 1024, F: 512, D: 8, Delta: 8})

@@ -128,7 +128,7 @@ func TestTableCSV(t *testing.T) {
 	if strings.Contains(out, "ignored") {
 		t.Fatal("notes leaked into csv")
 	}
-	if tb.Title() != "T" || tb.Table() != tb {
+	if tb.title != "T" || tb.Table() != tb {
 		t.Fatal("accessors")
 	}
 }

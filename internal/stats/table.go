@@ -65,9 +65,6 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Title returns the table's title (used for CSV file naming).
-func (t *Table) Title() string { return t.title }
-
 // Table returns t itself, letting a bare *Table satisfy render-and-export
 // interfaces alongside experiment result types.
 func (t *Table) Table() *Table { return t }

@@ -30,7 +30,7 @@ import (
 	"repro/internal/topology"
 )
 
-// Protocol names accepted by ByName.
+// Synchronous protocol names accepted by ProtocolByName.
 const (
 	NameSyncEpidemic      = "sync-epidemic"
 	NameSyncDeterministic = "sync-deterministic"
@@ -39,16 +39,21 @@ const (
 // Names lists the synchronous baselines.
 func Names() []string { return []string{NameSyncEpidemic, NameSyncDeterministic} }
 
-// ByName returns the named synchronous protocol.
-func ByName(name string) (core.Protocol, error) {
+// ProtocolByName resolves any gossip protocol by name: the asynchronous
+// protocols of core.Names() and the synchronous baselines of Names(). It
+// is the one resolver the public runner, the experiments, the fuzzer and
+// the cluster share.
+func ProtocolByName(name string) (core.Protocol, error) {
+	if p, err := core.ByName(name); err == nil {
+		return p, nil
+	}
 	switch name {
 	case NameSyncEpidemic:
 		return Epidemic{}, nil
 	case NameSyncDeterministic:
 		return Deterministic{}, nil
-	default:
-		return nil, fmt.Errorf("syncgossip: unknown protocol %q (have %v)", name, Names())
 	}
+	return nil, fmt.Errorf("syncgossip: unknown protocol %q (have %v)", name, append(core.Names(), Names()...))
 }
 
 // rounds returns the fixed stopping round: c · ⌈n/(n−f)⌉ · log₂n. The

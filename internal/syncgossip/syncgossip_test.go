@@ -1,6 +1,7 @@
 package syncgossip
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -106,17 +107,17 @@ func TestDeterministicCrashStorm(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range Names() {
-		proto, err := ByName(name)
+	for _, name := range append(core.Names(), Names()...) {
+		proto, err := ProtocolByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if proto.Name() != name {
-			t.Fatalf("ByName(%q).Name() = %q", name, proto.Name())
+			t.Fatalf("ProtocolByName(%q).Name() = %q", name, proto.Name())
 		}
 	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("bogus accepted")
+	if _, err := ProtocolByName("bogus"); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
+		t.Fatalf("bogus: got %v, want an unknown-protocol error", err)
 	}
 }
 

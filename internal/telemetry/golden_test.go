@@ -1,4 +1,4 @@
-package trace_test
+package telemetry_test
 
 import (
 	"flag"
@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/telemetry"
 )
 
 // regenTimeline rewrites the golden render instead of asserting it.
@@ -21,7 +21,7 @@ var regenTimeline = flag.Bool("regen-timeline", false, "rewrite testdata/timelin
 // so a cosmetic regression in the renderer can't hide behind an unchanged
 // digest. Regenerate with:
 //
-//	go test ./internal/trace -run TestTimelineGoldenRender -regen-timeline
+//	go test ./internal/telemetry -run TestTimelineGoldenRender -regen-timeline
 //
 // and commit the new file alongside the renderer change that explains it.
 func TestTimelineGoldenRender(t *testing.T) {
@@ -35,7 +35,7 @@ func TestTimelineGoldenRender(t *testing.T) {
 			{At: 3, Proc: 1}, {At: 9, Proc: 4}, {At: 17, Proc: 2},
 		},
 	}
-	tl := trace.NewTimeline(spec.N, 160)
+	tl := telemetry.NewTimeline(spec.N, 160)
 	ex, err := scenario.ExecuteTraced(spec, tl)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestTimelineGoldenRender(t *testing.T) {
 // process's visible row (the process was alive for every drawn column),
 // and the clipped note still reports the true horizon.
 func TestTimelineCrashBeyondWindow(t *testing.T) {
-	tl := trace.NewTimeline(2, 10)
+	tl := telemetry.NewTimeline(2, 10)
 	for at := sim.Time(0); at < 10; at++ {
 		tl.OnStep(0, at)
 		tl.OnStep(1, at)

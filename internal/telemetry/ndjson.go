@@ -4,82 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-
-	"repro/internal/sim"
 )
-
-// NDJSONTracer is a sim.Tracer that streams every simulation event as one
-// JSON object per line — the structured counterpart of the ASCII timeline,
-// suitable for ad-hoc jq analysis or replay into other tools. It buffers
-// internally; call Flush (or Close) before reading the output.
-//
-// This exporter is deliberately heavyweight (one encode per event): attach
-// it to runs you want to dissect, not to whole campaigns.
-type NDJSONTracer struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
-}
-
-var _ sim.Tracer = (*NDJSONTracer)(nil)
-
-// ndjsonEvent is the line schema. Kind is "step", "send", "deliver" or
-// "crash"; the message fields are present only for send/deliver.
-type ndjsonEvent struct {
-	Kind    string `json:"kind"`
-	T       int64  `json:"t"`
-	Proc    int    `json:"proc"`
-	Peer    *int   `json:"peer,omitempty"`
-	SentAt  *int64 `json:"sent_at,omitempty"`
-	ReadyAt *int64 `json:"ready_at,omitempty"`
-}
-
-// NewNDJSONTracer returns a tracer writing NDJSON lines to w.
-func NewNDJSONTracer(w io.Writer) *NDJSONTracer {
-	bw := bufio.NewWriter(w)
-	return &NDJSONTracer{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-func (t *NDJSONTracer) emit(e ndjsonEvent) {
-	if t.err != nil {
-		return
-	}
-	t.err = t.enc.Encode(e)
-}
-
-// OnStep implements sim.Tracer.
-func (t *NDJSONTracer) OnStep(p sim.ProcID, at sim.Time) {
-	t.emit(ndjsonEvent{Kind: "step", T: int64(at), Proc: int(p)})
-}
-
-// OnSend implements sim.Tracer.
-func (t *NDJSONTracer) OnSend(m sim.Message) {
-	peer := int(m.To)
-	sent, ready := int64(m.SentAt), int64(m.ReadyAt)
-	t.emit(ndjsonEvent{Kind: "send", T: int64(m.SentAt), Proc: int(m.From),
-		Peer: &peer, SentAt: &sent, ReadyAt: &ready})
-}
-
-// OnDeliver implements sim.Tracer.
-func (t *NDJSONTracer) OnDeliver(m sim.Message, at sim.Time) {
-	peer := int(m.From)
-	sent := int64(m.SentAt)
-	t.emit(ndjsonEvent{Kind: "deliver", T: int64(at), Proc: int(m.To),
-		Peer: &peer, SentAt: &sent})
-}
-
-// OnCrash implements sim.Tracer.
-func (t *NDJSONTracer) OnCrash(p sim.ProcID, at sim.Time) {
-	t.emit(ndjsonEvent{Kind: "crash", T: int64(at), Proc: int(p)})
-}
-
-// Flush drains the internal buffer and reports the first error seen.
-func (t *NDJSONTracer) Flush() error {
-	if t.err != nil {
-		return t.err
-	}
-	return t.bw.Flush()
-}
 
 // WriteSnapshotNDJSON writes a Snapshot as NDJSON: one "snapshot" line
 // with the scalars, then one "point" line per curve sample — a shape that

@@ -3,9 +3,9 @@
 // event stream into the curves the paper's claims are actually about —
 // informed-count over time, in-flight message pressure, per-step send
 // bands (Lemma 8), delivery-latency distributions — plus exporters that
-// render them as NDJSON event logs, OpenMetrics text (scrapeable by any
-// Prometheus-compatible collector) and Chrome trace-event JSON (openable
-// in Perfetto as a real space–time diagram).
+// render them as NDJSON snapshot lines, OpenMetrics text (scrapeable by
+// any Prometheus-compatible collector), Chrome trace-event JSON (openable
+// in Perfetto as a real space–time diagram) and an ASCII timeline.
 //
 // The layer is strictly observation-only and zero-overhead when disabled:
 // every sampler rides the existing sim.Tracer seam (compose with sim.Tee),
@@ -24,8 +24,8 @@
 //     memory as a 10²-step one.
 //   - Histogram / LinearHist: mergeable power-of-two and fixed-width
 //     histograms with deterministic quantile readout.
-//   - NDJSONTracer, WriteOpenMetrics, ChromeTracer: the three export
-//     formats.
+//   - WriteSnapshotNDJSON, WriteOpenMetrics, ChromeTracer, Timeline: the
+//     export formats.
 //   - Watchdog: per-worker heartbeat telemetry for internal/runner grids,
 //     with stuck-worker detection for long campaigns (nightly fuzz).
 package telemetry

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -298,15 +297,14 @@ func TestWatchdog(t *testing.T) {
 	clock = clock.Add(30 * time.Second)
 	w.CellDone(1, 8, errors.New("boom"))
 
-	st := w.Status()
-	if len(st) != 2 {
-		t.Fatalf("status = %+v", st)
+	if len(w.workers) != 2 {
+		t.Fatalf("workers = %+v", w.workers)
 	}
-	if !st[0].Active || st[0].Cell != 7 || st[0].Busy != 30*time.Second {
-		t.Errorf("worker 0 = %+v", st[0])
+	if b := w.workers[0]; !b.active || b.cell != 7 || clock.Sub(b.since) != 30*time.Second {
+		t.Errorf("worker 0 = %+v", b)
 	}
-	if st[1].Active {
-		t.Errorf("worker 1 should be idle: %+v", st[1])
+	if b := w.workers[1]; b.active || b.since != clock {
+		t.Errorf("worker 1 should be idle since its cell ended: %+v", b)
 	}
 	if done, errored := w.Done(); done != 1 || errored != 1 {
 		t.Errorf("done = %d/%d, want 1/1", done, errored)
@@ -389,37 +387,6 @@ func TestWriteOpenMetrics(t *testing.T) {
 				t.Errorf("repeated family header %q", line)
 			}
 			seen[line] = true
-		}
-	}
-}
-
-func TestNDJSONTracer(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewNDJSONTracer(&buf)
-	m := sim.Message{From: 0, To: 1, SentAt: 0, ReadyAt: 2}
-	tr.OnSend(m)
-	tr.OnStep(0, 0)
-	tr.OnDeliver(m, 2)
-	tr.OnCrash(1, 3)
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var kinds []string
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var e map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad line %q: %v", sc.Text(), err)
-		}
-		kinds = append(kinds, e["kind"].(string))
-	}
-	want := []string{"send", "step", "deliver", "crash"}
-	if len(kinds) != len(want) {
-		t.Fatalf("kinds = %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Errorf("line %d kind = %q, want %q", i, kinds[i], want[i])
 		}
 	}
 }

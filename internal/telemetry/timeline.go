@@ -1,10 +1,4 @@
-// Package trace renders simulated executions as ASCII space–time
-// diagrams: one row per process, one column per time step. It makes the
-// model tangible — adversarial scheduling gaps, delayed deliveries, crash
-// points and the quiescence tail are all visible at a glance — and is
-// wired into the public API (GossipSpec.Timeline) and gossipsim's
-// -timeline flag for small runs.
-package trace
+package telemetry
 
 import (
 	"fmt"
@@ -21,7 +15,12 @@ const (
 	cellCrash
 )
 
-// Timeline is a sim.Tracer that accumulates a space–time grid.
+// Timeline is a sim.Tracer that renders an execution as an ASCII
+// space–time diagram: one row per process, one column per time step. It
+// makes the model tangible — adversarial scheduling gaps, delayed
+// deliveries, crash points and the quiescence tail are all visible at a
+// glance — and is wired into the public API (GossipSpec.Timeline) and
+// gossipsim's -timeline flag for small runs.
 type Timeline struct {
 	sim.NopTracer
 	n       int

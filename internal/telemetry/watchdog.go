@@ -94,33 +94,6 @@ func (w *Watchdog) Done() (cells, errored int64) {
 	return w.done, w.errors
 }
 
-// Status snapshots every known worker, ordered by worker id.
-func (w *Watchdog) Status() []WorkerStatus {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	now := w.now()
-	max := -1
-	for id := range w.workers {
-		if id > max {
-			max = id
-		}
-	}
-	out := make([]WorkerStatus, 0, len(w.workers))
-	for id := 0; id <= max; id++ {
-		b := w.workers[id]
-		if b == nil {
-			continue
-		}
-		out = append(out, WorkerStatus{
-			Worker: id,
-			Cell:   b.cell,
-			Active: b.active,
-			Busy:   now.Sub(b.since),
-		})
-	}
-	return out
-}
-
 // stalled collects workers that have held one cell longer than threshold
 // and haven't been warned about that cell yet.
 func (w *Watchdog) stalled(threshold time.Duration) []WorkerStatus {

@@ -13,10 +13,9 @@ import (
 // of millions of edges in a few hundred MB. Rows are sorted ascending and
 // self-loop free, so HasEdge is a binary search and iteration is ordered.
 type CSR struct {
-	name     string
-	off      []int64 // len N+1; row v is adj[off[v]:off[v+1]]
-	adj      []int32
-	repaired int // edges added by connectivity repair
+	name string
+	off  []int64 // len N+1; row v is adj[off[v]:off[v+1]]
+	adj  []int32
 }
 
 var _ Graph = (*CSR)(nil)
@@ -141,41 +140,13 @@ func (g *CSR) HasEdge(u, v int) bool {
 // Edges implements Graph.
 func (g *CSR) Edges() int64 { return int64(len(g.adj)) / 2 }
 
-// Repaired returns the number of edges the connectivity repair added
-// (0 for families connected by construction).
-func (g *CSR) Repaired() int { return g.repaired }
-
-// Connected reports whether the graph is connected (true for N ≤ 1).
-func (g *CSR) Connected() bool {
-	n := g.N()
-	if n <= 1 {
-		return true
-	}
-	seen := make([]bool, n)
-	stack := []int32{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, q := range g.adj[g.off[v]:g.off[v+1]] {
-			if !seen[q] {
-				seen[q] = true
-				count++
-				stack = append(stack, q)
-			}
-		}
-	}
-	return count == n
-}
-
 // repairConnectivity links every component of the edge list to the
 // component of vertex 0 with one extra edge between seeded-random member
-// vertices, returning the extended list and the number of edges added.
+// vertices, returning the extended list.
 // Generators whose family does not guarantee connectivity (erdos-renyi,
 // watts-strogatz) call this so sparse parameterizations still yield graphs
 // every gossip protocol can complete on.
-func repairConnectivity(n int, edges []edge, r *rng.RNG) ([]edge, int) {
+func repairConnectivity(n int, edges []edge, r *rng.RNG) []edge {
 	parent := make([]int32, n)
 	for i := range parent {
 		parent[i] = int32(i)
@@ -208,14 +179,12 @@ func repairConnectivity(n int, edges []edge, r *rng.RNG) ([]edge, int) {
 		}
 		members[rt] = append(members[rt], v)
 	}
-	added := 0
 	base := members[roots[0]]
 	for _, rt := range roots[1:] {
 		comp := members[rt]
 		u := comp[r.Intn(len(comp))]
 		v := base[r.Intn(len(base))]
 		edges = append(edges, edge{u, v})
-		added++
 	}
-	return edges, added
+	return edges
 }

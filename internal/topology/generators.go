@@ -120,10 +120,7 @@ func buildErdosRenyi(n int, p float64, r *rng.RNG) (*CSR, error) {
 			}
 		}
 	}
-	edges, added := repairConnectivity(n, edges, r)
-	g := newCSR(FamilyErdosRenyi, n, edges)
-	g.repaired = added
-	return g, nil
+	return newCSR(FamilyErdosRenyi, n, repairConnectivity(n, edges, r)), nil
 }
 
 // buildWattsStrogatz returns a small-world graph: a ring lattice where
@@ -193,10 +190,7 @@ func buildWattsStrogatz(n, k int, beta float64, r *rng.RNG) (*CSR, error) {
 			break
 		}
 	}
-	edges, added := repairConnectivity(n, edges, r)
-	g := newCSR(FamilyWattsStrogatz, n, edges)
-	g.repaired = added
-	return g, nil
+	return newCSR(FamilyWattsStrogatz, n, repairConnectivity(n, edges, r)), nil
 }
 
 // buildBarabasiAlbert returns a preferential-attachment scale-free graph:

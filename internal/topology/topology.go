@@ -235,17 +235,9 @@ func (s Sampler) One(r *rng.RNG) (int, bool) {
 	return s.g.SampleNeighbor(s.self, r)
 }
 
-// K draws k distinct uniform targets (all of them, permuted, if k exceeds
-// the universe).
-func (s Sampler) K(k int, r *rng.RNG) []int {
-	if s.g == nil {
-		return r.Sample(s.n, k)
-	}
-	return s.g.SampleNeighbors(s.self, k, r)
-}
-
-// KInto is K writing into dst (reusing its capacity): the same draws and
-// targets with zero allocation once dst has grown to the fan-out. The
+// KInto draws k distinct uniform targets (all of them, permuted, if k
+// exceeds the universe) into dst, reusing its capacity: zero allocation
+// once dst has grown to the fan-out. The
 // built-in graphs (the implicit clique and every CSR-backed family) take
 // the zero-allocation path; a custom Graph implementation falls back to
 // its allocating SampleNeighbors, keeping the interface unchanged.

@@ -47,9 +47,9 @@ func buildCSR(t *testing.T, s Spec) *CSR {
 func TestGeneratorsConnected(t *testing.T) {
 	for _, s := range specsUnderTest() {
 		g := buildCSR(t, s)
-		if !g.Connected() {
-			t.Errorf("%s n=%d param=%v,%v: not connected (%d edges, %d repaired)",
-				s.Family, s.N, s.Param, s.Param2, g.Edges(), g.Repaired())
+		if !connected(g) {
+			t.Errorf("%s n=%d param=%v,%v: not connected (%d edges)",
+				s.Family, s.N, s.Param, s.Param2, g.Edges())
 		}
 	}
 }
@@ -196,10 +196,10 @@ func TestSamplerLegacyEquivalence(t *testing.T) {
 			t.Fatal("One diverges between nil and Complete samplers")
 		}
 	}
-	ka, kb := nilS.K(6, r1), cmpS.K(6, r2)
+	ka, kb := nilS.KInto(nil, 6, r1), cmpS.KInto(nil, 6, r2)
 	for i := range ka {
 		if ka[i] != kb[i] {
-			t.Fatal("K diverges between nil and Complete samplers")
+			t.Fatal("KInto diverges between nil and Complete samplers")
 		}
 	}
 	var ea, eb []int
@@ -227,13 +227,13 @@ func TestSamplerOnGraph(t *testing.T) {
 				t.Fatalf("One(%d) = %d: not a neighbor", v, q)
 			}
 		}
-		for _, q := range s.K(100, r) {
+		for _, q := range s.KInto(nil, 100, r) {
 			if !g.HasEdge(v, q) {
-				t.Fatalf("K(%d) yielded non-neighbor %d", v, q)
+				t.Fatalf("KInto(%d) yielded non-neighbor %d", v, q)
 			}
 		}
-		if got := len(s.K(100, r)); got != g.Degree(v) {
-			t.Fatalf("K over-asking returned %d targets, want degree %d", got, g.Degree(v))
+		if got := len(s.KInto(nil, 100, r)); got != g.Degree(v) {
+			t.Fatalf("KInto over-asking returned %d targets, want degree %d", got, g.Degree(v))
 		}
 	}
 }
@@ -244,7 +244,7 @@ func TestTorusRows(t *testing.T) {
 		t.Fatal("torus with rows=3, n=10 should fail")
 	}
 	g := buildCSR(t, Spec{Family: FamilyTorus, N: 12, Param: 3, Seed: 1})
-	if !g.Connected() {
+	if !connected(g) {
 		t.Fatal("3×4 torus not connected")
 	}
 }
@@ -270,7 +270,7 @@ func TestLargeSparseGraph(t *testing.T) {
 	}
 	const n = 200_000
 	g := buildCSR(t, Spec{Family: FamilyErdosRenyi, N: n, Seed: 1})
-	if !g.Connected() {
+	if !connected(g) {
 		t.Fatal("large erdos-renyi not connected")
 	}
 	meanDeg := 2 * float64(g.Edges()) / float64(n)
@@ -278,4 +278,28 @@ func TestLargeSparseGraph(t *testing.T) {
 	if meanDeg < 20 || meanDeg > 29 {
 		t.Fatalf("mean degree %.1f, want ≈ 24.4", meanDeg)
 	}
+}
+
+// connected reports whether g is connected (true for N ≤ 1).
+func connected(g *CSR) bool {
+	n := g.N()
+	if n <= 1 {
+		return true
+	}
+	seen := make([]bool, n)
+	stack := []int32{0}
+	seen[0] = true
+	count := 1
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, q := range g.adj[g.off[v]:g.off[v+1]] {
+			if !seen[q] {
+				seen[q] = true
+				count++
+				stack = append(stack, q)
+			}
+		}
+	}
+	return count == n
 }

@@ -11,8 +11,8 @@ import (
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/syncgossip"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Spec is a typed run specification accepted by Run: one of GossipSpec,
@@ -212,7 +212,7 @@ func RunMany[S Spec](ctx context.Context, specs []S, opts ...Option) (results []
 // runGossipSpec is the gossip engine behind Run.
 func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 	spec = spec.withDefaults()
-	proto, err := gossipProtoByName(spec.Protocol)
+	proto, err := syncgossip.ProtocolByName(spec.Protocol)
 	if err != nil {
 		return nil, err
 	}
@@ -251,10 +251,10 @@ func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tl *trace.Timeline
+	var tl *telemetry.Timeline
 	var timeline Tracer
 	if spec.Timeline {
-		tl = trace.NewTimeline(spec.N, 160)
+		tl = telemetry.NewTimeline(spec.N, 160)
 		timeline = tl
 	}
 	if tracer := o.observers(timeline); tracer != nil {
