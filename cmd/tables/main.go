@@ -1,5 +1,6 @@
 // Command tables regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 and EXPERIMENTS.md):
+// evaluation; internal/experiments holds the measurement harness and its
+// experiment index:
 //
 //	tables -exp table1          # Table 1: gossip protocols
 //	tables -exp table2          # Table 2: consensus protocols
@@ -15,7 +16,7 @@
 //	tables -exp pushpull        # push/pull/push-pull on the same density axis
 //	tables -exp avgcurve        # averaging diffusion time vs ε
 //	tables -exp ablations       # design-choice sweeps
-//	tables -exp all -full       # everything, at the EXPERIMENTS.md scale
+//	tables -exp all -full       # everything, at full scale
 //	tables -exp table1 -csv out # additionally write out/<name>.csv
 package main
 
@@ -46,7 +47,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
 	var (
 		exp     = fs.String("exp", "all", "experiment: table1|table2|figure1|coa|delta|fsweep|crossover|stages|latency|topology|npsweep|pushpull|avgcurve|ablations|all")
-		full    = fs.Bool("full", false, "full scale (EXPERIMENTS.md configuration; slower)")
+		full    = fs.Bool("full", false, "full scale (experiments.Full sizes; slower)")
 		d       = fs.Int("d", 2, "max message delay for the tables")
 		delta   = fs.Int("delta", 2, "max scheduling gap for the tables")
 		seed    = fs.Int64("seed", 1, "random seed")

@@ -1,6 +1,9 @@
 package bitset
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Matrix is an n×n bit matrix with copy-on-write snapshots, used as the
 // gossip informed-list I(p): row q holds the set of rumors known to have
@@ -178,4 +181,9 @@ func (m *Matrix) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
+}
+
+// Equal reports whether m and o have the same dimension and the same bits.
+func (m *Matrix) Equal(o *Matrix) bool {
+	return m.n == o.n && slices.Equal(m.words, o.words)
 }

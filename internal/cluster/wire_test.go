@@ -3,6 +3,9 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -107,4 +110,80 @@ func TestGossipEnvelopeRoundTrip(t *testing.T) {
 	if _, err := cluster.AppendGossip(nil, sim.Message{Payload: struct{}{}}); err == nil {
 		t.Error("unencodable payload accepted")
 	}
+}
+
+// gossipFrame wraps an encoded payload in a gossip envelope and a frame.
+func gossipFrame(tb testing.TB, payload []byte) []byte {
+	body := binary.BigEndian.AppendUint32(nil, 3)
+	body = binary.BigEndian.AppendUint32(body, 11)
+	body = binary.BigEndian.AppendUint64(body, 1_234_567_890)
+	var buf bytes.Buffer
+	if err := cluster.WriteFrame(&buf, cluster.KindGossip, append(body, payload...)); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// goldenPayloads returns the payload codec's golden vectors, the hex field
+// of each "name hex" line.
+func goldenPayloads(tb testing.TB) [][]byte {
+	text, err := os.ReadFile("../core/testdata/wire-v1.golden")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	for _, line := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+		b, err := hex.DecodeString(line[strings.IndexByte(line, ' ')+1:])
+		if err != nil {
+			tb.Fatalf("golden %q: %v", line, err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// FuzzReadGossipFrame feeds the receive path (ReadFrame, then DecodeGossip
+// for a gossip frame) arbitrary bytes, as a peer's socket could. It must
+// never panic, and every frame it accepts must re-encode to exactly the
+// bytes it consumed.
+func FuzzReadGossipFrame(f *testing.F) {
+	for _, g := range goldenPayloads(f) {
+		f.Add(gossipFrame(f, g))
+	}
+	// Non-canonical gossip headers and a rumor bitmap with a padding bit
+	// set: the payload decoder must reject each.
+	f.Add(gossipFrame(f, []byte{1, 1, 0x10, 0, 0, 0, 0}))
+	f.Add(gossipFrame(f, []byte{1, 1, 0x04, 0, 0, 0, 0}))
+	f.Add(gossipFrame(f, []byte{1, 1, 0x00, 0, 0, 0, 5}))
+	f.Add(gossipFrame(f, []byte{1, 1, 0x02, 0, 0, 0, 13, 0x00, 0x80}))
+	var ctl bytes.Buffer
+	if err := cluster.WriteFrame(&ctl, cluster.KindJoin, []byte(`{"id":3}`)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ctl.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		kind, body, err := cluster.ReadFrame(r)
+		if err != nil {
+			return
+		}
+		frame := data[:len(data)-r.Len()]
+		if kind == cluster.KindGossip {
+			m, err := cluster.DecodeGossip(body)
+			if err != nil {
+				return
+			}
+			if body, err = cluster.AppendGossip(nil, m); err != nil {
+				t.Fatalf("decoded message %+v does not encode: %v", m, err)
+			}
+		}
+		var again bytes.Buffer
+		if err := cluster.WriteFrame(&again, kind, body); err != nil {
+			t.Fatalf("accepted frame does not re-frame: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), frame) {
+			t.Fatalf("read then write changed the frame\n  in: %x\n out: %x", frame, again.Bytes())
+		}
+	})
 }

@@ -31,7 +31,7 @@ type Coin interface {
 // CommonCoin is a perfect common coin: every process sees the same uniform
 // bit per round, derived from a PRF over a seed fixed before the execution.
 //
-// Substitution note (DESIGN.md §3): Canetti–Rabin construct their shared
+// Substitution note: Canetti–Rabin construct their shared
 // coin cryptographically; against an *oblivious* adversary — which fixes
 // scheduling, delays and crashes before the execution, independent of coin
 // flips — a pre-seeded PRF coin has exactly the same distributional

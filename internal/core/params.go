@@ -105,9 +105,8 @@ type Params struct {
 // Lemmas 8–11 provable for asymptotic n, and at simulable scales
 // (n ≤ a few thousand) they degenerate to all-to-all (a ≥ n). The scaled
 // constants preserve every structural property (two hops, µ = a/2 trigger
-// windows, a = Θ(√n log n), κ = Θ(n^¼ log n)) at sizes where a < n;
-// DESIGN.md §3 and EXPERIMENTS.md record this substitution, and the
-// conformance tests verify majority coverage still holds w.h.p.
+// windows, a = Θ(√n log n), κ = Θ(n^¼ log n)) at sizes where a < n, and
+// the conformance tests verify majority coverage still holds w.h.p.
 func (p Params) WithDefaults() Params {
 	if p.ShutdownC == 0 {
 		p.ShutdownC = 6

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -40,6 +41,8 @@ const (
 	gpFlagRumors   = 1 << 1 // a rumor set follows
 	gpFlagVals     = 1 << 2 // the rumor set carries values
 	gpFlagInformed = 1 << 3 // an informed-list matrix follows
+
+	gpFlagsKnown = gpFlagTears | gpFlagRumors | gpFlagVals | gpFlagInformed
 )
 
 // AppendPayload appends the versioned binary encoding of pl to dst and
@@ -75,13 +78,11 @@ func AppendPayload(dst []byte, pl sim.Payload) ([]byte, error) {
 		dst = append(dst, flags)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(n))
 		if flags&gpFlagRumors != 0 {
-			dst = appendSetBitmap(dst, p.Rumors.Set, n)
-			if flags&gpFlagVals != 0 {
-				dst = append(dst, p.Rumors.Vals...)
-			}
+			dst = p.Rumors.Set.AppendBitmap(dst)
+			dst = append(dst, p.Rumors.Vals...)
 		}
 		if flags&gpFlagInformed != 0 {
-			dst = appendMatrixBitmap(dst, p.Informed.m, n)
+			dst = p.Informed.m.AppendBitmap(dst)
 		}
 		return dst, nil
 	case ppPayload:
@@ -117,29 +118,47 @@ func DecodePayload(src []byte) (sim.Payload, error) {
 		if n < 0 || n > payloadMaxN {
 			return nil, fmt.Errorf("core: gossip payload universe %d out of range", n)
 		}
+		// Reject every header AppendPayload cannot produce, so that
+		// decoding stays the exact inverse of encoding.
+		switch {
+		case flags&^gpFlagsKnown != 0:
+			return nil, fmt.Errorf("core: gossip payload sets unknown flag bits %#x", flags&^gpFlagsKnown)
+		case flags&gpFlagVals != 0 && flags&gpFlagRumors == 0:
+			return nil, fmt.Errorf("core: gossip payload carries values without a rumor set")
+		case n != 0 && flags&(gpFlagRumors|gpFlagInformed) == 0:
+			return nil, fmt.Errorf("core: gossip payload declares universe %d but carries no bitmap", n)
+		}
 		body = body[5:]
 		pl := &GossipPayload{Flag: flags&gpFlagTears != 0}
 		if flags&gpFlagRumors != 0 {
-			set, rest, err := decodeSetBitmap(body, n)
-			if err != nil {
-				return nil, err
+			nb := bitset.BitmapLen(n)
+			if len(body) < nb {
+				return nil, fmt.Errorf("core: rumor bitmap truncated (%d of %d bytes)", len(body), nb)
 			}
-			body = rest
+			set := bitset.New(n)
+			if err := set.LoadBitmap(body[:nb]); err != nil {
+				return nil, fmt.Errorf("core: rumor bitmap: %w", err)
+			}
+			body = body[nb:]
 			pl.Rumors = &Rumors{Set: set}
 			if flags&gpFlagVals != 0 {
 				if len(body) < n {
 					return nil, fmt.Errorf("core: gossip payload values truncated")
 				}
-				pl.Rumors.Vals = append([]uint8(nil), body[:n]...)
-				body = body[n:]
+				pl.Rumors.Vals = make([]uint8, n)
+				body = body[copy(pl.Rumors.Vals, body):]
 			}
 		}
 		if flags&gpFlagInformed != 0 {
-			m, rest, err := decodeMatrixBitmap(body, n)
-			if err != nil {
-				return nil, err
+			need := n * bitset.BitmapLen(n)
+			if len(body) < need {
+				return nil, fmt.Errorf("core: informed matrix truncated (%d of %d bytes)", len(body), need)
 			}
-			body = rest
+			m := bitset.NewMatrix(n)
+			if err := m.LoadBitmap(body[:need]); err != nil {
+				return nil, fmt.Errorf("core: informed matrix: %w", err)
+			}
+			body = body[need:]
 			pl.Informed = informedSnapshot{m: m}
 		}
 		if len(body) != 0 {
@@ -168,84 +187,6 @@ func DecodePayload(src []byte) (sim.Payload, error) {
 	}
 }
 
-// appendSetBitmap appends a dense little-endian-bit bitmap of set over
-// universe n: bit i of byte i/8 marks membership of i.
-func appendSetBitmap(dst []byte, s *bitset.Set, n int) []byte {
-	start := len(dst)
-	dst = append(dst, make([]byte, (n+7)/8)...)
-	s.ForEach(func(i int) bool {
-		dst[start+i/8] |= 1 << (i % 8)
-		return true
-	})
-	return dst
-}
-
-// padMask selects the unused high bits of the last byte of an n-bit
-// bitmap (0 when n is a multiple of 8). A canonical encoding leaves them
-// zero, and decoders reject anything else so decoding stays the exact
-// inverse of encoding.
-func padMask(n int) byte {
-	if n%8 == 0 {
-		return 0
-	}
-	return ^byte(0) << (n % 8)
-}
-
-func decodeSetBitmap(src []byte, n int) (*bitset.Set, []byte, error) {
-	nb := (n + 7) / 8
-	if len(src) < nb {
-		return nil, nil, fmt.Errorf("core: rumor bitmap truncated (%d of %d bytes)", len(src), nb)
-	}
-	if pad := padMask(n); pad != 0 && src[nb-1]&pad != 0 {
-		return nil, nil, fmt.Errorf("core: rumor bitmap sets padding bits beyond universe %d", n)
-	}
-	s := bitset.New(n)
-	for i := 0; i < n; i++ {
-		if src[i/8]&(1<<(i%8)) != 0 {
-			s.Add(i)
-		}
-	}
-	return s, src[nb:], nil
-}
-
-// appendMatrixBitmap appends the n×n informed-list matrix as n row bitmaps.
-func appendMatrixBitmap(dst []byte, m *bitset.Matrix, n int) []byte {
-	rowBytes := (n + 7) / 8
-	start := len(dst)
-	dst = append(dst, make([]byte, n*rowBytes)...)
-	for row := 0; row < n; row++ {
-		base := start + row*rowBytes
-		for col := 0; col < n; col++ {
-			if m.Test(row, col) {
-				dst[base+col/8] |= 1 << (col % 8)
-			}
-		}
-	}
-	return dst
-}
-
-func decodeMatrixBitmap(src []byte, n int) (*bitset.Matrix, []byte, error) {
-	rowBytes := (n + 7) / 8
-	need := n * rowBytes
-	if len(src) < need {
-		return nil, nil, fmt.Errorf("core: informed matrix truncated (%d of %d bytes)", len(src), need)
-	}
-	pad := padMask(n)
-	m := bitset.NewMatrix(n)
-	for row := 0; row < n; row++ {
-		base := row * rowBytes
-		if pad != 0 && src[base+rowBytes-1]&pad != 0 {
-			return nil, nil, fmt.Errorf("core: informed matrix row %d sets padding bits beyond universe %d", row, n)
-		}
-		for col := 0; col < n; col++ {
-			if src[base+col/8]&(1<<(col%8)) != 0 {
-				m.Set(row, col)
-			}
-		}
-	}
-	return m, src[need:], nil
-}
-
 // WirePayloadEquals reports deep equality of two payloads, ignoring pool
 // bookkeeping; codec tests use it to verify round-trips.
 func WirePayloadEquals(a, b sim.Payload) bool {
@@ -259,35 +200,16 @@ func WirePayloadEquals(a, b sim.Payload) bool {
 		case (pa.Rumors == nil) != (pb.Rumors == nil):
 			return false
 		case pa.Rumors != nil:
-			if !pa.Rumors.Set.Equal(pb.Rumors.Set) {
+			ra, rb := pa.Rumors, pb.Rumors
+			if ra.Set.Universe() != rb.Set.Universe() || !ra.Set.Equal(rb.Set) ||
+				(ra.Vals == nil) != (rb.Vals == nil) || !bytes.Equal(ra.Vals, rb.Vals) {
 				return false
 			}
-			if (pa.Rumors.Vals == nil) != (pb.Rumors.Vals == nil) {
-				return false
-			}
-			for i := range pa.Rumors.Vals {
-				if pa.Rumors.Vals[i] != pb.Rumors.Vals[i] {
-					return false
-				}
-			}
 		}
-		if (pa.Informed.m == nil) != (pb.Informed.m == nil) {
-			return false
+		if pa.Informed.m == nil || pb.Informed.m == nil {
+			return pa.Informed.m == pb.Informed.m
 		}
-		if pa.Informed.m != nil {
-			n := pa.Informed.m.Universe()
-			if n != pb.Informed.m.Universe() {
-				return false
-			}
-			for r := 0; r < n; r++ {
-				for c := 0; c < n; c++ {
-					if pa.Informed.m.Test(r, c) != pb.Informed.m.Test(r, c) {
-						return false
-					}
-				}
-			}
-		}
-		return true
+		return pa.Informed.m.Equal(pb.Informed.m)
 	case ppPayload:
 		pb, ok := b.(ppPayload)
 		return ok && pa == pb

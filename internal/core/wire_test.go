@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/bitset"
@@ -32,6 +33,7 @@ func wirePayloads() map[string]interface{} {
 		"gossip-rumors-only":          gossipPayload(&Rumors{Set: full}, nil, false),
 		"gossip-informed-flag":        gossipPayload(nil, m, true),
 		"gossip-empty":                gossipPayload(nil, nil, false),
+		"gossip-rumors-vals-n0":       gossipPayload(&Rumors{Set: bitset.New(0), Vals: []uint8{}}, nil, false),
 		"pp-rumor":                    ppRumor,
 		"pp-request":                  ppRequest,
 		"avg":                         AvgPayload{S: -3.25, W: 0.125},
@@ -108,15 +110,8 @@ func TestPayloadWireRejectsCorruption(t *testing.T) {
 // bit has no meaning, so decoding it would break encode∘decode = id: the
 // decoder must reject it.
 func TestPayloadWireRejectsPaddingBits(t *testing.T) {
-	const n = 13 // two bytes per bitmap, bits 5..7 of the second are padding
-	set := bitset.New(n)
-	set.Add(12)
-	m := bitset.NewMatrix(n)
-	m.Set(4, 12)
-	enc, err := AppendPayload(nil, gossipPayload(&Rumors{Set: set}, m, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	const n = paddingFrameN
+	enc := paddingFrame(t)
 	if _, err := DecodePayload(enc); err != nil {
 		t.Fatalf("canonical frame rejected: %v", err)
 	}
@@ -168,5 +163,112 @@ func TestPayloadWireDecodeOwnsStorage(t *testing.T) {
 	gp.Rumors.Vals[0] = 9
 	if set.Test(5) || orig.Rumors.Vals[0] == 9 {
 		t.Error("decoded payload aliases encoder storage")
+	}
+}
+
+// nonCanonicalGossipHeaders are gossip headers an earlier decoder accepted
+// and re-encoded as the empty payload 01 01 00 00000000, breaking
+// encode∘decode = id.
+var nonCanonicalGossipHeaders = []namedBytes{
+	{"unknown flag bit", []byte{PayloadWireVersion, payloadKindGossip, 0x10, 0, 0, 0, 0}},
+	{"vals without rumors", []byte{PayloadWireVersion, payloadKindGossip, gpFlagVals, 0, 0, 0, 0}},
+	{"universe with no bitmap", []byte{PayloadWireVersion, payloadKindGossip, 0, 0, 0, 0, 5}},
+}
+
+func TestPayloadWireRejectsNonCanonicalHeaders(t *testing.T) {
+	for _, c := range nonCanonicalGossipHeaders {
+		if pl, err := DecodePayload(c.b); err == nil {
+			t.Errorf("%s: % x decoded to %#v", c.name, c.b, pl)
+		}
+	}
+}
+
+// paddingFrameN is the universe of paddingFrame: two bytes per bitmap, bits
+// 5..7 of the second are padding.
+const paddingFrameN = 13
+
+// paddingFrame is a canonical gossip frame over paddingFrameN with the
+// highest data bit set in the rumor bitmap and in matrix row 4, next to the
+// padding bits that TestPayloadWireRejectsPaddingBits and the fuzz seeds set.
+func paddingFrame(tb testing.TB) []byte {
+	set := bitset.New(paddingFrameN)
+	set.Add(paddingFrameN - 1)
+	m := bitset.NewMatrix(paddingFrameN)
+	m.Set(4, paddingFrameN-1)
+	enc, err := AppendPayload(nil, gossipPayload(&Rumors{Set: set}, m, false))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return enc
+}
+
+// FuzzDecodePayload feeds DecodePayload arbitrary bytes, as a peer could.
+// It must never panic, and every input it accepts must re-encode to exactly
+// the same bytes: the encoding is canonical.
+func FuzzDecodePayload(f *testing.F) {
+	for _, g := range readGoldenWire(f) {
+		f.Add(g.b)
+	}
+	for _, c := range nonCanonicalGossipHeaders {
+		f.Add(c.b)
+	}
+	padded := paddingFrame(f)
+	padded[7+1] |= 1 << 7 // a padding bit of the rumor bitmap
+	f.Add(padded)
+	f.Fuzz(func(t *testing.T, src []byte) {
+		pl, err := DecodePayload(src)
+		if err != nil {
+			return
+		}
+		enc, err := AppendPayload(nil, pl)
+		if err != nil {
+			t.Fatalf("decoded payload %#v does not encode: %v", pl, err)
+		}
+		if !bytes.Equal(enc, src) {
+			t.Fatalf("decode then encode changed the bytes\n  in: %x\n out: %x", src, enc)
+		}
+	})
+}
+
+// WirePayloadEquals compares whole payloads: values of any length (a longer
+// first operand once panicked), rumor universes, and every matrix bit.
+func TestWirePayloadEquals(t *testing.T) {
+	rumors := func(n int, vals []uint8) *Rumors {
+		s := bitset.New(n)
+		s.Add(1)
+		return &Rumors{Set: s, Vals: vals}
+	}
+	matrix := func(n, row, col int) *bitset.Matrix {
+		m := bitset.NewMatrix(n)
+		m.Set(row, col)
+		return m
+	}
+	cases := []struct {
+		name string
+		a, b *GossipPayload
+		want bool
+	}{
+		{"equal", gossipPayload(rumors(70, []uint8{1, 2}), matrix(70, 69, 3), true),
+			gossipPayload(rumors(70, []uint8{1, 2}), matrix(70, 69, 3), true), true},
+		{"longer vals first", gossipPayload(rumors(8, []uint8{1, 2, 3}), nil, false),
+			gossipPayload(rumors(8, []uint8{1, 2}), nil, false), false},
+		{"shorter vals first", gossipPayload(rumors(8, []uint8{1, 2}), nil, false),
+			gossipPayload(rumors(8, []uint8{1, 2, 3}), nil, false), false},
+		{"nil and empty vals", gossipPayload(rumors(8, nil), nil, false),
+			gossipPayload(rumors(8, []uint8{}), nil, false), false},
+		{"rumor universes differ", gossipPayload(rumors(8, nil), nil, false),
+			gossipPayload(rumors(9, nil), nil, false), false},
+		{"one matrix bit differs", gossipPayload(nil, matrix(70, 69, 3), false),
+			gossipPayload(nil, matrix(70, 69, 4), false), false},
+		{"matrix universes differ", gossipPayload(nil, bitset.NewMatrix(8), false),
+			gossipPayload(nil, bitset.NewMatrix(9), false), false},
+		{"matrix on one side", gossipPayload(nil, bitset.NewMatrix(8), false),
+			gossipPayload(nil, nil, false), false},
+		{"flag differs", gossipPayload(nil, nil, true), gossipPayload(nil, nil, false), false},
+	}
+	for _, c := range cases {
+		if got := WirePayloadEquals(c.a, c.b); got != c.want {
+			t.Errorf("%s: WirePayloadEquals = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

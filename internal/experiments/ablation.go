@@ -84,7 +84,7 @@ func (r *DeltaSweepResult) Table() *stats.Table {
 	return t
 }
 
-// ShutdownAblationResult sweeps the ears shut-down constant (DESIGN.md §6):
+// ShutdownAblationResult sweeps the ears shut-down constant:
 // shorter shut-down phases save messages but risk premature sleep and
 // wake-up churn; the informed-list keeps the protocol correct either way.
 type ShutdownAblationResult struct {
@@ -180,8 +180,8 @@ func (r *EpsilonAblationResult) Table() *stats.Table {
 	return t
 }
 
-// CoinAblationResult compares the common coin against Ben-Or local coins
-// (DESIGN.md §6): round counts and decision times.
+// CoinAblationResult compares the common coin against Ben-Or local coins:
+// round counts and decision times.
 type CoinAblationResult struct {
 	Coins    []string
 	Time     []stats.Summary

@@ -1,11 +1,11 @@
 // Package experiments is the measurement harness behind every table and
-// figure of the paper (see DESIGN.md §4 for the experiment index):
+// figure of the paper:
 //
 //	Table1        — gossip protocols: time and message complexity
 //	Table2        — consensus protocols (Canetti–Rabin + gossip get-core)
 //	Figure1       — the Theorem 1 adaptive-adversary construction
 //	CostOfAsynchrony — Corollary 2 ratios
-//	Ablation*     — design-choice sweeps (DESIGN.md §6)
+//	Ablation*     — design-choice sweeps
 //
 // The same entry points back the cmd/tables CLI, the cmd/bench artifact
 // generator, and the root bench suite. Every entry point takes an Env and
@@ -350,7 +350,7 @@ func runConsensusOnce(spec ConsensusSpec, seed int64) (sim.Result, error) {
 }
 
 // Scale selects experiment sizes: Quick keeps CI runtimes small, Full is
-// the configuration EXPERIMENTS.md reports.
+// the paper-scale configuration `tables -full` runs.
 type Scale int
 
 // Scales.

@@ -6,7 +6,7 @@
 // built from expander graphs that completes in O(polylog n) rounds with
 // O(n polylog n) messages, even against an adaptive adversary crashing up
 // to n−1 processes. The explicit expander families of [9] are out of scope
-// for a reproduction; per DESIGN.md §3 we substitute:
+// for a reproduction, so we substitute:
 //
 //   - Deterministic: gossip over seeded pseudo-random regular multigraphs
 //     (a fresh graph per round, fixed by the protocol specification, so
