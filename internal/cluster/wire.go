@@ -29,6 +29,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -83,8 +84,9 @@ func WriteFrame(w io.Writer, kind byte, body []byte) error {
 }
 
 // ReadFrame reads one framed envelope, returning its kind and body. It
-// rejects bad magic, unknown versions and oversized frames before
-// allocating.
+// rejects bad magic, unknown versions and oversized frames, and never
+// allocates much more than the bytes the peer actually sent (see
+// readBody).
 func ReadFrame(r io.Reader) (kind byte, body []byte, err error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -94,8 +96,8 @@ func ReadFrame(r io.Reader) (kind byte, body []byte, err error) {
 	if n < envelopeHeader || n > MaxFrame {
 		return 0, nil, fmt.Errorf("cluster: frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readBody(r, int(n))
+	if err != nil {
 		return 0, nil, err
 	}
 	if got := binary.BigEndian.Uint32(buf[0:4]); got != WireMagic {
@@ -105,6 +107,39 @@ func ReadFrame(r io.Reader) (kind byte, body []byte, err error) {
 		return 0, nil, fmt.Errorf("cluster: envelope version %d, this build speaks %d", buf[4], WireVersion)
 	}
 	return buf[5], buf[6:], nil
+}
+
+// frameChunk is the largest body ReadFrame allocates up front. Larger
+// claimed lengths are read in chunks into a buffer that grows only as
+// bytes arrive, so a header that lies about the length costs memory in
+// proportion to what the peer sent, not to what it claimed.
+const frameChunk = 64 << 10
+
+// readBody reads exactly n body bytes with io.ReadFull's error contract:
+// io.EOF if none arrived, io.ErrUnexpectedEOF if some did.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	if n <= frameChunk {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	buf := make([]byte, 0, frameChunk)
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(len(buf), n-len(buf)))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Gossip envelope body: from(4) to(4) sentAt(8) payload. sentAt is the

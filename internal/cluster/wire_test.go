@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,6 +23,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{cluster.KindGossip, []byte("payload")},
 		{cluster.KindJoin, []byte(`{"id":3}`)},
 		{cluster.KindLeaveOK, nil},
+		{cluster.KindGossip, bytes.Repeat([]byte{0xa5}, 200<<10)}, // read in growing chunks
 	}
 	var buf bytes.Buffer
 	for _, c := range cases {
@@ -79,6 +82,24 @@ func TestFrameRejectsCorruption(t *testing.T) {
 
 	if err := cluster.WriteFrame(&bytes.Buffer{}, cluster.KindGossip, make([]byte, cluster.MaxFrame)); err == nil {
 		t.Error("MaxFrame-exceeding body written")
+	}
+}
+
+// TestReadFrameLyingLength sends a header claiming MaxFrame, then 10 body
+// bytes and EOF: the reader must fail having allocated in proportion to
+// the bytes received, not the 16 MiB claimed.
+func TestReadFrameLyingLength(t *testing.T) {
+	frame := binary.BigEndian.AppendUint32(nil, cluster.MaxFrame)
+	frame = append(frame, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := cluster.ReadFrame(bytes.NewReader(frame))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("lying frame: err = %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("lying frame length made ReadFrame allocate %d bytes for 14 received", got)
 	}
 }
 

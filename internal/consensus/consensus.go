@@ -69,7 +69,10 @@ type History struct {
 	Value   uint8
 }
 
-// Payload is the message payload of the consensus layer.
+// Payload is the message payload of the consensus layer. A node builds one
+// Payload per fan-out and sends that same object to every target (and one
+// vote snapshot serves a whole Step), so a Payload must never be mutated
+// after Send: the sender, the kernel and every receiver share it.
 type Payload struct {
 	// Idx is the global gossip-instance index 3·step + (sub−1), or -1 for
 	// pure history/probe messages.
@@ -147,6 +150,9 @@ type Node struct {
 	idleSteps    int
 	replyTargets []sim.ProcID
 	idxScratch   []int
+	// scratch collects one transport step's gossip sends before they are
+	// wrapped in consensus payloads; every instance reuses it.
+	scratch sim.Outbox
 
 	// buffer holds messages for instances ahead of our position; they are
 	// replayed when we get there. This keeps gossip transports efficient
@@ -255,12 +261,17 @@ func (n *Node) openInstance() {
 func (n *Node) cur() transport { return n.trs[n.curIdx()] }
 
 // wFor returns the vote union to attach to messages of instance idx: the
-// live union for the current get-core, the frozen output for older ones.
-func (n *Node) wFor(idx int) *core.Rumors {
+// frozen output for an older get-core, else a snapshot of the live union.
+// The live union does not change while a Step sends, so *snap caches the
+// snapshot and the Step takes at most one.
+func (n *Node) wFor(idx int, snap **core.Rumors) *core.Rumors {
 	if step := idx / 3; step < len(n.outputs) {
 		return n.outputs[step]
 	}
-	return n.w.Snapshot()
+	if *snap == nil {
+		*snap = n.w.Snapshot()
+	}
+	return *snap
 }
 
 // Step implements sim.Node.
@@ -359,24 +370,30 @@ func (n *Node) Step(now sim.Time, inbox []sim.Message, out *sim.Outbox) {
 	// Transport step: spontaneous gossip sends for every active instance
 	// (the current one plus older ones still disseminating). Instances are
 	// stepped in index order — map iteration order would break replay
-	// determinism.
+	// determinism. A fan-out of one inner payload becomes one shared
+	// consensus payload.
 	sent := false
 	n.idxScratch = n.idxScratch[:0]
 	for idx := range n.trs {
 		n.idxScratch = append(n.idxScratch, idx)
 	}
 	sort.Ints(n.idxScratch)
+	var snap *core.Rumors
 	for _, idx := range n.idxScratch {
-		idx := idx
-		n.trs[idx].step(now, func(to sim.ProcID, inner *core.GossipPayload) {
+		n.scratch.Reset(n.id, now, n.n)
+		n.trs[idx].step(now, &n.scratch)
+		var pl *Payload
+		for _, m := range n.scratch.Messages() {
+			inner, ok := m.Payload.(*core.GossipPayload)
+			if !ok {
+				continue
+			}
+			if pl == nil || pl.Inner != inner {
+				pl = &Payload{Idx: idx, Inner: inner, W: n.wFor(idx, &snap), Hist: n.hist}
+			}
 			sent = true
-			out.Send(to, &Payload{
-				Idx:   idx,
-				Inner: inner,
-				W:     n.wFor(idx),
-				Hist:  n.hist,
-			})
-		})
+			out.Send(m.To, pl)
+		}
 	}
 
 	// Probing: an undecided process whose transports have all gone idle
@@ -460,9 +477,14 @@ func (n *Node) queueReply(to sim.ProcID) {
 	n.replyTargets = append(n.replyTargets, to)
 }
 
+// sendReplies sends one shared history reply to every queued target.
 func (n *Node) sendReplies(out *sim.Outbox) {
+	if len(n.replyTargets) == 0 {
+		return
+	}
+	reply := &Payload{Idx: -1, Hist: n.hist}
 	for _, to := range n.replyTargets {
-		out.Send(to, &Payload{Idx: -1, Hist: n.hist})
+		out.Send(to, reply)
 	}
 	n.replyTargets = n.replyTargets[:0]
 }

@@ -16,8 +16,10 @@ import (
 // message carries the Node's current union), so a transport only tracks
 // who has contributed.
 type transport interface {
-	// step runs one local step, emitting instance messages through send.
-	step(now sim.Time, send func(to sim.ProcID, inner *core.GossipPayload))
+	// step runs one local step, sending the instance's gossip payloads
+	// through out. The owning Node resets out before each call and reuses
+	// it for every instance.
+	step(now sim.Time, out *sim.Outbox)
 	// absorb processes an incoming instance message's inner payload.
 	absorb(now sim.Time, from sim.ProcID, inner *core.GossipPayload)
 	// count returns the number of distinct contributors heard (incl. self).
@@ -88,7 +90,6 @@ func newTransportFactory(kind TransportKind, id sim.ProcID, p core.Params) (tran
 type protocolTransport struct {
 	node  sim.Node
 	inbox []sim.Message
-	out   sim.Outbox
 }
 
 var _ transport = (*protocolTransport)(nil)
@@ -97,15 +98,9 @@ func (t *protocolTransport) absorb(_ sim.Time, from sim.ProcID, inner *core.Goss
 	t.inbox = append(t.inbox, sim.Message{From: from, To: t.node.ID(), Payload: inner})
 }
 
-func (t *protocolTransport) step(now sim.Time, send func(sim.ProcID, *core.GossipPayload)) {
-	t.out.Reset(t.node.ID(), now, holderUniverse(t.node))
-	t.node.Step(now, t.inbox, &t.out)
+func (t *protocolTransport) step(now sim.Time, out *sim.Outbox) {
+	t.node.Step(now, t.inbox, out)
 	t.inbox = t.inbox[:0]
-	for _, m := range t.out.Messages() {
-		if pl, ok := m.Payload.(*core.GossipPayload); ok {
-			send(m.To, pl)
-		}
-	}
 }
 
 func (t *protocolTransport) count() int {
@@ -113,11 +108,6 @@ func (t *protocolTransport) count() int {
 }
 
 func (t *protocolTransport) idle() bool { return t.node.Quiescent() && len(t.inbox) == 0 }
-
-// holderUniverse recovers n from the node's rumor set.
-func holderUniverse(n sim.Node) int {
-	return n.(core.RumorHolder).RumorSet().Universe()
-}
 
 // directTransport is the all-to-all phase of the Canetti–Rabin baseline:
 // each process sends its contribution to everyone once, then waits.
@@ -148,14 +138,14 @@ func (t *directTransport) absorb(_ sim.Time, from sim.ProcID, inner *core.Gossip
 	}
 }
 
-func (t *directTransport) step(_ sim.Time, send func(sim.ProcID, *core.GossipPayload)) {
+func (t *directTransport) step(_ sim.Time, out *sim.Outbox) {
 	if t.sent {
 		return
 	}
 	t.sent = true
 	for q := 0; q < t.n; q++ {
 		if sim.ProcID(q) != t.id {
-			send(sim.ProcID(q), t.shared)
+			out.Send(sim.ProcID(q), t.shared)
 		}
 	}
 }
