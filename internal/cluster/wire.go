@@ -84,9 +84,8 @@ func WriteFrame(w io.Writer, kind byte, body []byte) error {
 }
 
 // ReadFrame reads one framed envelope, returning its kind and body. It
-// rejects bad magic, unknown versions and oversized frames, and never
-// allocates much more than the bytes the peer actually sent (see
-// readBody).
+// rejects bad magic, unknown versions and oversized frames. A length claim
+// alone never makes it allocate more than frameChunk bytes (see readBody).
 func ReadFrame(r io.Reader) (kind byte, body []byte, err error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"io"
 	"os"
 	"runtime"
@@ -95,7 +96,7 @@ func TestReadFrameLyingLength(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, _, err := cluster.ReadFrame(bytes.NewReader(frame))
 	runtime.ReadMemStats(&after)
-	if err != io.ErrUnexpectedEOF {
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("lying frame: err = %v, want %v", err, io.ErrUnexpectedEOF)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {

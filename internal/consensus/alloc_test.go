@@ -97,7 +97,6 @@ func payloadFingerprint(pl *Payload) uint64 {
 // effect.
 func TestSharedPayloadsStayImmutable(t *testing.T) {
 	for _, kind := range TransportKinds() {
-		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			rt := &retainTracer{}
 			got := runGolden(t, kind, goldenCfg, rt)

@@ -79,7 +79,6 @@ func TestConsensusGoldenDigests(t *testing.T) {
 		TransportTEARS:  {digest: 0xe776bb788948f72e, events: 102563, messages: 51323, bytes: 4209636, timeSteps: 25, crashes: 2, decision: 0, maxRounds: 1},
 	}
 	for _, kind := range TransportKinds() {
-		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			got := runGolden(t, kind, goldenCfg)
 			if got.crashes == 0 {
