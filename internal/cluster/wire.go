@@ -117,14 +117,7 @@ const frameChunk = 64 << 10
 // readBody reads exactly n body bytes with io.ReadFull's error contract:
 // io.EOF if none arrived, io.ErrUnexpectedEOF if some did.
 func readBody(r io.Reader, n int) ([]byte, error) {
-	if n <= frameChunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	buf := make([]byte, 0, frameChunk)
+	buf := make([]byte, 0, min(n, frameChunk))
 	for len(buf) < n {
 		if len(buf) == cap(buf) {
 			buf = slices.Grow(buf, min(len(buf), n-len(buf)))
