@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,4 +82,45 @@ func TestRunCSVExport(t *testing.T) {
 	if !strings.Contains(content, "trivial") {
 		t.Fatalf("csv rows missing:\n%s", content)
 	}
+}
+
+// TestQuickAllGolden pins the whole quick-scale output of every experiment
+// (Tables 1 and 2, the sweeps, stages, latency and ablations) byte for
+// byte: a change to how any experiment assembles its runs — seeds,
+// consensus inputs, coins, topologies, adversaries — moves a line here.
+func TestQuickAllGolden(t *testing.T) {
+	const golden = "testdata/quick-all.golden"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-exp", "all"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Errorf("quick tables drifted from %s:\n%s"+
+			"If the change is intended, regenerate it from the repository root with\n"+
+			"\tgo run ./cmd/tables -exp all > cmd/tables/%s",
+			golden, lineDiff(string(want), got), golden)
+	}
+}
+
+// lineDiff lists each line at which two texts differ as a -want/+got pair.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < max(len(w), len(g)); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "-%s\n+%s\n", wl, gl)
+		}
+	}
+	return b.String()
 }
