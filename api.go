@@ -93,18 +93,6 @@ const (
 // Topologies lists the topology family names.
 func Topologies() []string { return topology.Families() }
 
-// buildTopology resolves the Topology fields of a spec into a graph
-// (nil for the default complete graph, preserving legacy semantics and
-// random streams exactly).
-func buildTopology(family string, n int, param, param2 float64, seed int64) (topology.Graph, error) {
-	if family == "" {
-		return nil, nil
-	}
-	return topology.Build(topology.Spec{
-		Family: family, N: n, Param: param, Param2: param2, Seed: seed,
-	})
-}
-
 // GossipSpec describes one gossip execution for Run. Zero values default
 // to: EARS, the standard oblivious adversary, d = δ = 1, no failures.
 type GossipSpec struct {

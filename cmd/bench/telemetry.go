@@ -8,6 +8,7 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/adversary"
+	"repro/internal/assemble"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -72,25 +73,21 @@ func (p *profiles) stop() error {
 // telemetry exports into dir.
 func captureSampleRun(dir string, out io.Writer) error {
 	pool := core.NewPool(sampleN)
-	params := core.Params{N: sampleN, F: sampleF, Pool: pool}
-	proto := core.EARS{}
-	nodes, err := core.NewNodes(proto, params, sampleSeed)
+	pc, err := assemble.Build(assemble.Run{
+		Protocol: core.NameEARS, N: sampleN, F: sampleF, D: 2, Delta: 2, Seed: sampleSeed,
+		Gossip: core.Params{Pool: pool}, Preset: adversary.PresetStandard,
+	})
 	if err != nil {
 		return err
 	}
-	cfg := sim.Config{N: sampleN, F: sampleF, D: 2, Delta: 2, Seed: sampleSeed}
-	adv, err := adversary.ByName(adversary.PresetStandard, cfg)
-	if err != nil {
-		return err
-	}
-	w, err := sim.NewWorld(cfg, nodes, adv)
+	w, err := sim.NewWorld(pc.Config, pc.Nodes, pc.Adversary)
 	if err != nil {
 		return err
 	}
 	rec := telemetry.NewRecorder(sampleN)
 	chrome := telemetry.NewChromeTracer(0)
 	w.SetTracer(sim.Tee(rec, chrome))
-	if _, err := w.Run(proto.Evaluator(params.WithDefaults())); err != nil {
+	if _, err := w.Run(pc.Evaluator); err != nil {
 		return fmt.Errorf("telemetry sample run: %w", err)
 	}
 

@@ -29,10 +29,10 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/assemble"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/syncgossip"
 )
 
 // specEnv carries the spec JSON from the driver to node-mode children, so
@@ -221,18 +221,9 @@ func runNode(id int, registry string, stepEvery, heartbeat, crashAfter,
 		fmt.Fprintf(os.Stderr, "node: need -id in [0,%d) and -registry\n", spec.N)
 		return 2
 	}
-	proto, err := syncgossip.ProtocolByName(spec.Protocol)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "node %d: %v\n", id, err)
-		return 2
-	}
-	graph, err := spec.BuildGraph()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "node %d: %v\n", id, err)
-		return 2
-	}
-	params := core.Params{N: spec.N, F: spec.F, Graph: graph, NoPool: true}
-	nodes, err := core.NewNodes(proto, params, spec.Seed)
+	r := spec.Run()
+	r.Gossip.NoPool = true
+	pc, err := assemble.Build(r)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "node %d: %v\n", id, err)
 		return 2
@@ -244,12 +235,12 @@ func runNode(id int, registry string, stepEvery, heartbeat, crashAfter,
 		HeartbeatEvery: heartbeat,
 		CrashAfter:     crashAfter,
 		StartTimeout:   startTimeout,
-		Graph:          graph,
+		Graph:          pc.Config.Graph,
 		TraceCap:       traceCap,
 		MetricsAddr:    metricsAddr,
 		Seed:           seed,
 	}
-	if _, err := cluster.RunNode(cfg, nodes[id]); err != nil {
+	if _, err := cluster.RunNode(cfg, pc.Nodes[id]); err != nil {
 		fmt.Fprintf(os.Stderr, "node %d: %v\n", id, err)
 		return 1
 	}

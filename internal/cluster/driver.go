@@ -6,9 +6,9 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/assemble"
 	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/syncgossip"
 )
 
 // Run modes.
@@ -116,7 +116,9 @@ func Run(ctx context.Context, spec scenario.Spec, opts Options) (*Result, error)
 		return nil, fmt.Errorf("cluster: protocol %q is not runnable live (synchronous baselines are simulator-only)", spec.Protocol)
 	}
 	opts = opts.withDefaults()
-	graph, err := spec.BuildGraph()
+	r := spec.Run()
+	r.Gossip.NoPool = true // nodes live on separate goroutines and payloads cross them
+	pc, err := assemble.Build(r)
 	if err != nil {
 		return nil, err
 	}
@@ -131,18 +133,8 @@ func Run(ctx context.Context, spec scenario.Spec, opts Options) (*Result, error)
 	launch := opts.Launch
 	if launch == nil {
 		mode = ModeInproc
-		proto, err := syncgossip.ProtocolByName(spec.Protocol)
-		if err != nil {
-			return nil, err
-		}
-		// NoPool: nodes live on separate goroutines and payloads cross them.
-		params := core.Params{N: spec.N, F: spec.F, Graph: graph, NoPool: true}
-		nodes, err := core.NewNodes(proto, params, spec.Seed)
-		if err != nil {
-			return nil, err
-		}
 		launch = func(cfg NodeConfig, errs chan<- error) {
-			nd := nodes[cfg.ID]
+			nd := pc.Nodes[cfg.ID]
 			go func() {
 				if _, err := RunNode(cfg, nd); err != nil {
 					errs <- err
@@ -161,7 +153,7 @@ func Run(ctx context.Context, spec scenario.Spec, opts Options) (*Result, error)
 			StepEvery:      opts.StepEvery,
 			HeartbeatEvery: opts.Heartbeat,
 			StartTimeout:   opts.Timeout,
-			Graph:          graph,
+			Graph:          pc.Config.Graph,
 			TraceCap:       opts.TraceCap,
 			Seed:           spec.Seed,
 		}

@@ -1,4 +1,4 @@
-package consensus
+package consensus_test
 
 // Allocation and payload-sharing regression tests for the consensus send
 // path, the counterpart of core/alloc_test.go. Consensus runs its gossip
@@ -9,6 +9,7 @@ package consensus
 import (
 	"testing"
 
+	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -20,7 +21,7 @@ func TestConsensusAllocsPerMessage(t *testing.T) {
 	const budget = 0.5
 	var msgs int64
 	allocs := testing.AllocsPerRun(1, func() {
-		msgs = runGolden(t, TransportTEARS, goldenCfg).messages
+		msgs = runGolden(t, consensus.TransportTEARS, goldenCfg).messages
 	})
 	perMsg := allocs / float64(msgs)
 	t.Logf("tears n=%d: %.0f allocations for %d messages (%.3f/msg)", goldenCfg.N, allocs, msgs, perMsg)
@@ -37,12 +38,12 @@ type retainTracer struct {
 }
 
 type sentPayload struct {
-	pl *Payload
+	pl *consensus.Payload
 	fp uint64
 }
 
 func (r *retainTracer) OnSend(m sim.Message) {
-	if pl, ok := m.Payload.(*Payload); ok {
+	if pl, ok := m.Payload.(*consensus.Payload); ok {
 		r.sent = append(r.sent, sentPayload{pl: pl, fp: payloadFingerprint(pl)})
 	}
 }
@@ -50,7 +51,7 @@ func (r *retainTracer) OnSend(m sim.Message) {
 // payloadFingerprint hashes everything a receiver reads from a payload:
 // the vote union's members and their values, the inner gossip rumor set,
 // the history's length and decision, and the header fields.
-func payloadFingerprint(pl *Payload) uint64 {
+func payloadFingerprint(pl *consensus.Payload) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	mix := func(v int) {
 		h ^= uint64(v)
@@ -96,14 +97,14 @@ func payloadFingerprint(pl *Payload) uint64 {
 // fingerprint. Fewer distinct payloads than sends shows the sharing is in
 // effect.
 func TestSharedPayloadsStayImmutable(t *testing.T) {
-	for _, kind := range TransportKinds() {
+	for _, kind := range consensus.TransportKinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			rt := &retainTracer{}
 			got := runGolden(t, kind, goldenCfg, rt)
 			if int64(len(rt.sent)) != got.messages {
 				t.Fatalf("retained %d payloads for %d messages", len(rt.sent), got.messages)
 			}
-			distinct := make(map[*Payload]struct{}, len(rt.sent))
+			distinct := make(map[*consensus.Payload]struct{}, len(rt.sent))
 			for i, s := range rt.sent {
 				if fp := payloadFingerprint(s.pl); fp != s.fp {
 					t.Fatalf("send %d (idx %d): payload changed after it was sent", i, s.pl.Idx)

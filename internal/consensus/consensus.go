@@ -23,20 +23,18 @@ type Params struct {
 	// Coin is the shared-coin flavor; nil defaults to a common coin
 	// derived from the run seed.
 	Coin Coin
-	// ProbeEvery is the idle-step interval at which an undecided process
-	// with a quiescent transport probes a random peer for history
-	// (default 8). Probing is the concrete realization of the paper's
-	// catch-up rule for processes that fell behind the gossip frontier.
-	ProbeEvery int
 }
+
+// probeEvery is the idle-step interval at which an undecided process with
+// a quiescent transport probes a random peer for history. Probing is the
+// concrete realization of the paper's catch-up rule for processes that
+// fell behind the gossip frontier.
+const probeEvery = 8
 
 // WithDefaults fills zero fields.
 func (p Params) WithDefaults() Params {
 	if p.Transport == "" {
 		p.Transport = TransportDirect
-	}
-	if p.ProbeEvery == 0 {
-		p.ProbeEvery = 8
 	}
 	p.Gossip.N, p.Gossip.F = p.N, p.F
 	p.Gossip = p.Gossip.WithDefaults()
@@ -401,7 +399,7 @@ func (n *Node) Step(now sim.Time, inbox []sim.Message, out *sim.Outbox) {
 	// asks a random peer for history (the catch-up channel).
 	if !sent && n.allIdle() {
 		n.idleSteps++
-		if n.idleSteps%n.par.ProbeEvery == 0 {
+		if n.idleSteps%probeEvery == 0 {
 			if q, ok := n.probe.One(n.r); ok {
 				out.Send(sim.ProcID(q), &Payload{Idx: -1, Probe: true, Hist: n.hist})
 			}

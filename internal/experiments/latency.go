@@ -5,11 +5,11 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
+	"repro/internal/assemble"
 	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/syncgossip"
 )
 
 // RumorLatencyResult reports the distribution of per-rumor dissemination
@@ -28,10 +28,6 @@ type RumorLatencyResult struct {
 // seed grid fans across env.Workers and latencies are collected in seed
 // order.
 func RumorLatency(proto string, env Env, seed int64) (*RumorLatencyResult, error) {
-	p, err := syncgossip.ProtocolByName(proto)
-	if err != nil {
-		return nil, err
-	}
 	n := 128
 	if env.Scale == Quick {
 		n = 64
@@ -42,29 +38,26 @@ func RumorLatency(proto string, env Env, seed int64) (*RumorLatencyResult, error
 	perSeed, errs, _ := runner.Map(context.Background(), env.seeds(),
 		runner.Options{Workers: env.Workers},
 		func(_ context.Context, s int) ([]float64, error) {
-			cfg := sim.Config{N: n, F: f, D: 2, Delta: 2, Seed: seed + int64(s)}
-			params := core.Params{N: n, F: f}
-			nodes, err := core.NewNodes(p, params, cfg.Seed)
+			pc, err := assemble.Build(assemble.Run{
+				Protocol: proto, N: n, F: f, D: 2, Delta: 2, Seed: seed + int64(s),
+				Preset: adversary.PresetStandard,
+			})
 			if err != nil {
 				return nil, err
 			}
-			adv, err := adversary.ByName(adversary.PresetStandard, cfg)
+			w, err := sim.NewWorld(pc.Config, pc.Nodes, pc.Adversary)
 			if err != nil {
 				return nil, err
 			}
-			w, err := sim.NewWorld(cfg, nodes, adv)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := w.Run(p.Evaluator(params)); err != nil {
-				return nil, fmt.Errorf("latency %s seed %d: %w", proto, cfg.Seed, err)
+			if _, err := w.Run(pc.Evaluator); err != nil {
+				return nil, fmt.Errorf("latency %s seed %d: %w", proto, pc.Config.Seed, err)
 			}
 			// Latency of rumor r = max over processes of acquisition time.
 			lat := make([]float64, 0, n)
 			for r := 0; r < n; r++ {
 				var worst sim.Time
 				for q := 0; q < n; q++ {
-					h := nodes[q].(core.RumorHolder)
+					h := pc.Nodes[q].(core.RumorHolder)
 					if at := h.RumorAcquiredAt(sim.ProcID(r)); at > worst {
 						worst = at
 					}

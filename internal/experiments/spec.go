@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
+	"repro/internal/assemble"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/runner"
@@ -123,18 +124,14 @@ func specSeed(label string, run int) int64 {
 }
 
 // gridJob is one spec's slice of a flattened (spec × seed) measurement
-// grid: how many runs it owns, how to execute one, and how to read the
-// spec kind's time measure out of a result.
+// grid: how many runs it owns, its seed policy, and the run it assembles
+// at each seed.
 type gridJob struct {
 	seeds int
-	err   error // pre-resolution error (e.g. unknown protocol); skips the runs
-	run   func(seed int64) (sim.Result, error)
-	seed  func(run int) int64
-	// timeOf extracts the time-complexity measure (gossip: quiescence;
-	// consensus: last correct decision).
-	timeOf func(sim.Result) float64
-	// failAll builds the error reported when every run of the job fails.
-	failAll func() error
+	label string // SeedLabel (see specSeed)
+	name  string // names the spec when every run fails
+	err   error  // pre-resolution error (e.g. unknown protocol); skips the runs
+	at    func(seed int64) assemble.Run
 }
 
 // runMeasureGrid fans the jobs' flattened run grid across one worker pool
@@ -159,7 +156,21 @@ func runMeasureGrid(jobs []gridJob, workers int) ([]Measurement, []error) {
 		runner.Options{Workers: workers},
 		func(_ context.Context, c int) (sim.Result, error) {
 			job := jobs[cells[c].job]
-			return job.run(job.seed(cells[c].run))
+			run := job.at(specSeed(job.label, cells[c].run))
+			pc, err := assemble.Build(run)
+			if err != nil {
+				return sim.Result{}, err
+			}
+			w, err := sim.NewWorld(pc.Config, pc.Nodes, pc.Adversary)
+			if err != nil {
+				return sim.Result{}, err
+			}
+			res, err := w.Run(pc.Evaluator)
+			if run.Transport != "" {
+				// Consensus "time" is when the last correct process decides.
+				res.TimeComplexity = res.CompletedAt
+			}
+			return res, err
 		})
 
 	cursor := 0
@@ -177,7 +188,7 @@ func runMeasureGrid(jobs []gridJob, workers int) ([]Measurement, []error) {
 				failures++
 				continue
 			}
-			times = append(times, job.timeOf(res))
+			times = append(times, float64(res.TimeComplexity))
 			msgs = append(msgs, float64(res.Messages))
 			bytes = append(bytes, float64(res.Bytes))
 			bytesKnown = bytesKnown && res.BytesKnown
@@ -191,7 +202,7 @@ func runMeasureGrid(jobs []gridJob, workers int) ([]Measurement, []error) {
 			Failures:   failures,
 		}
 		if failures == job.seeds {
-			errs[i] = job.failAll()
+			errs[i] = fmt.Errorf("experiments: all %d runs of %s failed", job.seeds, job.name)
 		}
 	}
 	return ms, errs
@@ -205,58 +216,28 @@ func measureGossipGrid(specs []GossipSpec, env Env) ([]Measurement, []error) {
 		if spec.Shards == 0 {
 			spec.Shards = env.Shards
 		}
+		// Grid cells run concurrently; a caller-shared snapshot pool would
+		// be a data race, so every run builds its own (results are
+		// identical either way).
+		spec.Gossip.Pool = nil
 		// Resolve the protocol up front (serial MeasureGossip fails before
 		// running any seed on an unknown name).
-		proto, err := syncgossip.ProtocolByName(spec.Proto)
-		jobs[i] = gridJob{
-			seeds: spec.Seeds,
-			err:   err,
-			run:   func(seed int64) (sim.Result, error) { return runGossipOnce(proto, spec, seed) },
-			seed:  func(run int) int64 { return specSeed(spec.SeedLabel, run) },
-			timeOf: func(res sim.Result) float64 {
-				return float64(res.TimeComplexity)
-			},
-			failAll: func() error {
-				return fmt.Errorf("experiments: all %d runs of %s failed", spec.Seeds, spec.Proto)
+		_, err := syncgossip.ProtocolByName(spec.Proto)
+		jobs[i] = gridJob{seeds: spec.Seeds, label: spec.SeedLabel, name: spec.Proto, err: err,
+			at: func(seed int64) assemble.Run {
+				return assemble.Run{
+					Protocol: spec.Proto,
+					N:        spec.N, F: spec.F, D: spec.D, Delta: spec.Delta,
+					Seed:     seed,
+					Gossip:   spec.Gossip,
+					Topology: topology.Spec{Family: spec.Topology, Param: spec.TopoParam, Param2: spec.TopoParam2, Seed: seed},
+					Preset:   spec.Preset,
+					Shards:   spec.Shards,
+				}
 			},
 		}
 	}
 	return runMeasureGrid(jobs, env.Workers)
-}
-
-func runGossipOnce(proto core.Protocol, spec GossipSpec, seed int64) (sim.Result, error) {
-	cfg := sim.Config{N: spec.N, F: spec.F, D: spec.D, Delta: spec.Delta, Seed: seed, Shards: spec.Shards}
-	p := spec.Gossip
-	p.N, p.F = spec.N, spec.F
-	p.Shards = spec.Shards
-	// Grid cells run concurrently; a caller-shared snapshot pool would be a
-	// data race, so every run builds its own (results are identical either
-	// way — pooling never touches randomness or metrics).
-	p.Pool = nil
-	if spec.Topology != "" {
-		g, err := topology.Build(topology.Spec{
-			Family: spec.Topology, N: spec.N,
-			Param: spec.TopoParam, Param2: spec.TopoParam2, Seed: seed,
-		})
-		if err != nil {
-			return sim.Result{}, err
-		}
-		p.Graph = g
-		cfg.Graph = g
-	}
-	nodes, err := core.NewNodes(proto, p, seed)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	adv, err := adversary.ByName(spec.Preset, cfg)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	w, err := sim.NewWorld(cfg, nodes, adv)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return w.Run(proto.Evaluator(p.WithDefaults()))
 }
 
 // ConsensusSpec describes one consensus measurement point.
@@ -289,6 +270,9 @@ func (s ConsensusSpec) withDefaults() ConsensusSpec {
 	if s.Preset == "" {
 		s.Preset = adversary.PresetStandard
 	}
+	if s.Transport == "" {
+		s.Transport = consensus.TransportDirect
+	}
 	return s
 }
 
@@ -300,53 +284,28 @@ func measureConsensusGrid(specs []ConsensusSpec, env Env) ([]Measurement, []erro
 		if spec.Shards == 0 {
 			spec.Shards = env.Shards
 		}
-		jobs[i] = gridJob{
-			seeds: spec.Seeds,
-			run:   func(seed int64) (sim.Result, error) { return runConsensusOnce(spec, seed) },
-			seed:  func(run int) int64 { return specSeed(spec.SeedLabel, run) },
-			// Consensus "time" is when the last correct process decides.
-			timeOf: func(res sim.Result) float64 {
-				return float64(res.CompletedAt)
-			},
-			failAll: func() error {
-				return fmt.Errorf("experiments: all %d runs of CR-%s failed", spec.Seeds, spec.Transport)
+		jobs[i] = gridJob{seeds: spec.Seeds, label: spec.SeedLabel, name: "CR-" + string(spec.Transport),
+			at: func(seed int64) assemble.Run {
+				inputs := consensus.RandomInputs(spec.N, seed+1000)
+				if spec.SplitInputs {
+					for q := range inputs {
+						inputs[q] = uint8(q % 2)
+					}
+				}
+				return assemble.Run{
+					Transport: spec.Transport,
+					N:         spec.N, F: spec.F, D: spec.D, Delta: spec.Delta,
+					Seed:      seed,
+					Gossip:    spec.Gossip,
+					Preset:    spec.Preset,
+					Shards:    spec.Shards,
+					LocalCoin: spec.LocalCoin,
+					Inputs:    inputs,
+				}
 			},
 		}
 	}
 	return runMeasureGrid(jobs, env.Workers)
-}
-
-func runConsensusOnce(spec ConsensusSpec, seed int64) (sim.Result, error) {
-	// Consensus transports embed their gossip nodes unpooled, so the shard
-	// count only needs to reach the kernel config.
-	cfg := sim.Config{N: spec.N, F: spec.F, D: spec.D, Delta: spec.Delta, Seed: seed, Shards: spec.Shards}
-	p := consensus.Params{
-		N: spec.N, F: spec.F,
-		Transport: spec.Transport,
-		Gossip:    spec.Gossip,
-	}
-	if spec.LocalCoin {
-		p.Coin = consensus.NewLocalCoin(seed)
-	}
-	inputs := consensus.RandomInputs(spec.N, seed+1000)
-	if spec.SplitInputs {
-		for i := range inputs {
-			inputs[i] = uint8(i % 2)
-		}
-	}
-	nodes, err := consensus.NewNodes(p, inputs, seed)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	adv, err := adversary.ByName(spec.Preset, cfg)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	w, err := sim.NewWorld(cfg, nodes, adv)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return w.Run(consensus.Evaluator{Inputs: inputs})
 }
 
 // Scale selects experiment sizes: Quick keeps CI runtimes small, Full is

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
+	"repro/internal/assemble"
 	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -47,25 +48,22 @@ func EarsStages(env Env, seed int64) (*EarsStagesResult, error) {
 	samples, errs, _ := runner.Map(context.Background(), env.seeds(),
 		runner.Options{Workers: env.Workers},
 		func(_ context.Context, s int) (sample, error) {
-			cfg := sim.Config{N: n, F: f, D: 2, Delta: 2, Seed: seed + int64(s)}
-			p := core.Params{N: n, F: f}
-			nodes, err := core.NewNodes(core.EARS{}, p, cfg.Seed)
+			pc, err := assemble.Build(assemble.Run{
+				Protocol: core.NameEARS, N: n, F: f, D: 2, Delta: 2, Seed: seed + int64(s),
+				Preset: adversary.PresetStandard,
+			})
 			if err != nil {
 				return sample{}, err
 			}
-			adv, err := adversary.ByName(adversary.PresetStandard, cfg)
-			if err != nil {
-				return sample{}, err
-			}
-			w, err := sim.NewWorld(cfg, nodes, adv)
+			w, err := sim.NewWorld(pc.Config, pc.Nodes, pc.Adversary)
 			if err != nil {
 				return sample{}, err
 			}
 			milestones := &earsMilestones{}
 			w.SetProbe(milestones.probe)
-			runRes, err := w.Run(core.EARS{}.Evaluator(p))
+			runRes, err := w.Run(pc.Evaluator)
 			if err != nil {
-				return sample{}, fmt.Errorf("stages seed %d: %w", cfg.Seed, err)
+				return sample{}, fmt.Errorf("stages seed %d: %w", pc.Config.Seed, err)
 			}
 			return sample{
 				gathered:    float64(milestones.gatheredAt),

@@ -58,7 +58,7 @@ func TopologySweep(env Env, seed int64) (*TopologySweepResult, error) {
 	protos := []string{"ears", "sears", "tears"}
 
 	// Mean degree is averaged over the same per-seed graph instances the
-	// measurements below actually run on (runGossipOnce generates the
+	// measurements below actually run on (measureGossipGrid generates the
 	// graph from the run seed, 0..Seeds-1). Graph generation is cheap next
 	// to the simulations, so it stays serial.
 	degrees := map[string]float64{}

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/core"
+	"repro/internal/assemble"
 	"repro/internal/sim"
-	"repro/internal/syncgossip"
 )
 
 // kernelFault, when non-nil, mutates the kernel configuration just before
@@ -110,37 +109,23 @@ func ExecuteTraced(spec Spec, extra sim.Tracer) (*Execution, error) {
 // unpooled twin); shards > 1 selects the sharded superstep kernel (the
 // sharded twin); the tracer observes every event.
 func runOnce(spec Spec, noPool bool, shards int, tracer sim.Tracer) (sim.View, []sim.Node, sim.Result, error, error) {
-	proto, err := syncgossip.ProtocolByName(spec.Protocol)
+	r := spec.Run()
+	r.Gossip.NoPool = noPool
+	r.Shards = shards
+	pc, err := assemble.Build(r)
 	if err != nil {
 		return nil, nil, sim.Result{}, nil, err
-	}
-	graph, err := spec.BuildGraph()
-	if err != nil {
-		return nil, nil, sim.Result{}, nil, err
-	}
-	params := core.Params{N: spec.N, F: spec.F, Graph: graph, NoPool: noPool, Shards: shards}
-	nodes, err := core.NewNodes(proto, params, spec.Seed)
-	if err != nil {
-		return nil, nil, sim.Result{}, nil, err
-	}
-	cfg := sim.Config{
-		N: spec.N, F: spec.F,
-		D: sim.Time(spec.D), Delta: sim.Time(spec.Delta),
-		Seed:     spec.Seed,
-		MaxSteps: sim.Time(spec.MaxSteps),
-		Graph:    graph,
-		Shards:   shards,
 	}
 	if kernelFault != nil {
-		kernelFault(&cfg)
+		kernelFault(&pc.Config)
 	}
-	w, err := sim.NewWorld(cfg, nodes, spec.adversary())
+	w, err := sim.NewWorld(pc.Config, pc.Nodes, pc.Adversary)
 	if err != nil {
 		return nil, nil, sim.Result{}, nil, err
 	}
 	w.SetTracer(tracer)
-	res, runErr := w.Run(proto.Evaluator(params.WithDefaults()))
-	return w, nodes, res, runErr, nil
+	res, runErr := w.Run(pc.Evaluator)
+	return w, pc.Nodes, res, runErr, nil
 }
 
 // runDetail renders the kernel's own verdict for report details.

@@ -14,8 +14,8 @@ import (
 // live trace can be judged against a live-adapted subset of the same
 // oracle catalog. Completion and validity are not adapted but shared:
 // CompletionViolation and ValidityViolation judge either runtime's
-// Evidence. Spec.BuildGraph, MessageEnvelope and TimeEnvelope are the
-// fuzzer's own functions.
+// Evidence. Spec.Run, MessageEnvelope and TimeEnvelope are the fuzzer's
+// own functions.
 
 // ReadSpecFile loads a Spec from any of the serialized forms the
 // repository produces: a bare Spec JSON object, a corpus entry

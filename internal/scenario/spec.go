@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
+	"repro/internal/assemble"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/syncgossip"
@@ -171,25 +172,30 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: crash event at negative time %d", c.At)
 		}
 	}
-	if s.Topology != "" {
-		if _, err := s.BuildGraph(); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := assemble.Graph(s.graph())
+	return err
 }
 
-// BuildGraph builds the spec's topology (nil for the complete graph,
-// preserving the paper's exact sampling semantics).
-func (s Spec) BuildGraph() (topology.Graph, error) {
-	if s.Topology == "" || s.Topology == topology.FamilyComplete {
-		return nil, nil
+// Run is the simulated run the spec describes: its primary execution, on
+// the serial kernel with pooling on, which the twins vary. Its adversary
+// composes the spec's schedule, delay and crash policies.
+func (s Spec) Run() assemble.Run {
+	return assemble.Run{
+		Protocol: s.Protocol,
+		N:        s.N, F: s.F, D: sim.Time(s.D), Delta: sim.Time(s.Delta),
+		Seed: s.Seed, MaxSteps: sim.Time(s.MaxSteps),
+		Topology:  s.graph(),
+		Adversary: adversary.Compose(s.schedule(), s.delay(), s.crashes()),
 	}
-	return topology.Build(topology.Spec{
+}
+
+// graph describes the spec's topology.
+func (s Spec) graph() topology.Spec {
+	return topology.Spec{
 		Family: s.Topology, N: s.N,
 		Param: s.TopologyParam, Param2: s.TopologyParam2,
 		Seed: s.TopologySeed,
-	})
+	}
 }
 
 // schedule builds the spec's schedule policy.
@@ -241,11 +247,6 @@ func (s Spec) crashes() adversary.CrashPolicy {
 		procs[i] = sim.ProcID(c.Proc)
 	}
 	return adversary.NewCrashPlan(times, procs)
-}
-
-// adversary composes the three policies into the run's adversary.
-func (s Spec) adversary() *adversary.Composed {
-	return adversary.Compose(s.schedule(), s.delay(), s.crashes())
 }
 
 // maxGap returns the step-gap bound the spec's schedule is allowed to use:

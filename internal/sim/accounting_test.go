@@ -2,12 +2,13 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
 // Regression tests for the kernel accounting fixes: out-of-range drop
 // tallies, timeout-path timing, the LastSendAt sentinel, and the
-// δ-validation boundary.
+// δ-boundary of the invariant checker's schedule-gap rule.
 
 // wildSender addresses targets outside [0, n) alongside a valid one: one
 // in-range send and two out-of-range sends per step, for `reps` steps.
@@ -158,11 +159,11 @@ func (a periodicAdv) Crashes(_ Time, _ View, buf []ProcID) []ProcID {
 	return buf
 }
 
-// TestDeltaValidationBoundary pins the δ-validation window on both sides:
-// a first schedule at t = δ−1 and a steady period of exactly δ sit inside
-// the bound, while a first schedule at t = δ (one whole missed window —
-// the case the removed `now >= δ` guard used to forgive) and a period of
-// δ+1 are violations.
+// TestDeltaValidationBoundary pins the checker's schedule-gap window on
+// both sides, over real kernel runs with maxGap = δ: a first schedule at
+// t = δ−1 and a steady period of exactly δ sit inside the bound, while a
+// first schedule at t = δ (one whole missed window) and a period of δ+1
+// are violations.
 func TestDeltaValidationBoundary(t *testing.T) {
 	const delta = 3
 	cases := []struct {
@@ -177,10 +178,7 @@ func TestDeltaValidationBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{
-				N: 3, F: 0, D: 1, Delta: delta, Seed: 1,
-				MaxSteps: 6 * delta, ValidateDelta: true,
-			}
+			cfg := Config{N: 3, F: 0, D: 1, Delta: delta, Seed: 1, MaxSteps: 6 * delta}
 			nodes := make([]Node, cfg.N)
 			for i := range nodes {
 				nodes[i] = &silentNode{ProcID(i)}
@@ -189,17 +187,18 @@ func TestDeltaValidationBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = w.Run(nil)
-			if tc.violate {
-				if !errors.Is(err, ErrDeltaViolated) {
-					t.Fatalf("want ErrDeltaViolated, got %v", err)
-				}
-			} else {
-				// silentNode never quiesces, so a clean schedule ends in
-				// a timeout — anything δ-related is a regression.
-				if !errors.Is(err, ErrTimeout) {
-					t.Fatalf("want ErrTimeout (clean schedule), got %v", err)
-				}
+			chk := NewInvariantChecker(cfg.N, cfg.F, cfg.D, delta)
+			w.SetTracer(chk)
+			// silentNode never quiesces, so every run ends in a timeout.
+			if _, err := w.Run(nil); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("want ErrTimeout, got %v", err)
+			}
+			err = chk.Err()
+			if tc.violate && (err == nil || !strings.Contains(err.Error(), RuleScheduleGap)) {
+				t.Fatalf("want a %s violation, got %v", RuleScheduleGap, err)
+			}
+			if !tc.violate && err != nil {
+				t.Fatalf("clean schedule flagged: %v", err)
 			}
 		})
 	}

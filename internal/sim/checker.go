@@ -166,9 +166,10 @@ const maxCheckerViolations = 64
 //   - post-crash: a crashed process never steps, never sends, and is never
 //     delivered a message (crashes are clean halts).
 //   - schedule-gap: the gap between consecutive steps of a live process
-//     never exceeds MaxGap (the relative-speed bound; pass 2δ−1 for
-//     schedules like Stride that redraw phases per period, δ for strictly
-//     periodic ones, or 0 to disable).
+//     never exceeds MaxGap, and its first step comes by t = MaxGap−1,
+//     i.e. within MaxGap steps of time 0 (the relative-speed bound; pass
+//     2δ−1 for schedules like Stride that redraw phases per period, δ for
+//     strictly periodic ones, or 0 to disable).
 //   - event-order: event times never decrease, and a message is delivered
 //     no earlier than ReadyAt and strictly after SentAt.
 //
@@ -180,8 +181,7 @@ type InvariantChecker struct {
 	maxGap Time
 
 	crashed   []bool
-	lastStep  []Time
-	stepped   []bool
+	lastStep  []Time // -1 before the first step
 	crashes   int
 	lastTime  Time
 	truncated int64 // violations dropped past the cap
@@ -201,7 +201,9 @@ func NewInvariantChecker(n, f int, d, maxGap Time) *InvariantChecker {
 		maxGap:   maxGap,
 		crashed:  make([]bool, n),
 		lastStep: make([]Time, n),
-		stepped:  make([]bool, n),
+	}
+	for p := range c.lastStep {
+		c.lastStep[p] = -1
 	}
 	return c
 }
@@ -238,12 +240,11 @@ func (c *InvariantChecker) OnStep(p ProcID, t Time) {
 	if c.crashed[p] {
 		c.violatef(RulePostCrash, "process %d stepped at t=%d after crashing", p, t)
 	}
-	if c.maxGap > 0 && c.stepped[p] && t-c.lastStep[p] > c.maxGap {
-		c.violatef(RuleScheduleGap, "process %d starved: steps at t=%d and t=%d exceed gap bound %d",
+	if c.maxGap > 0 && t-c.lastStep[p] > c.maxGap {
+		c.violatef(RuleScheduleGap, "process %d starved: not stepped in (%d, %d) beyond gap bound %d",
 			p, c.lastStep[p], t, c.maxGap)
 	}
 	c.lastStep[p] = t
-	c.stepped[p] = true
 }
 
 // OnSend implements Tracer.

@@ -8,6 +8,7 @@ import (
 // feed is a tiny helper building a clean two-process exchange.
 func feedCleanExchange(t Tracer) {
 	t.OnStep(0, 0)
+	t.OnStep(1, 0)
 	t.OnSend(Message{From: 0, To: 1, SentAt: 0, ReadyAt: 1})
 	t.OnDeliver(Message{From: 0, To: 1, SentAt: 0, ReadyAt: 1}, 1)
 	t.OnStep(1, 1)
@@ -103,6 +104,17 @@ func TestCheckerScheduleGap(t *testing.T) {
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), RuleScheduleGap) {
 		t.Fatalf("starvation not flagged: %v", err)
 	}
+	// The first step is bounded too: by t = maxGap−1, within maxGap steps
+	// of time 0.
+	c = NewInvariantChecker(2, 0, 1, 3)
+	c.OnStep(0, 2)
+	if err := c.Err(); err != nil {
+		t.Fatalf("first step at maxGap-1 flagged: %v", err)
+	}
+	c.OnStep(1, 3)
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), RuleScheduleGap) {
+		t.Fatalf("first step at maxGap not flagged: %v", err)
+	}
 	// maxGap = 0 disables the rule entirely.
 	c = NewInvariantChecker(2, 0, 1, 0)
 	c.OnStep(0, 0)
@@ -148,6 +160,7 @@ func TestDigestTracerDistinguishesStreams(t *testing.T) {
 	}
 	// Same events, one field different.
 	c.OnStep(0, 0)
+	c.OnStep(1, 0)
 	c.OnSend(Message{From: 0, To: 1, SentAt: 0, ReadyAt: 2})
 	c.OnDeliver(Message{From: 0, To: 1, SentAt: 0, ReadyAt: 1}, 1)
 	c.OnStep(1, 1)
@@ -176,7 +189,7 @@ func TestTeeComposition(t *testing.T) {
 	a, b := NewDigestTracer(), NewDigestTracer()
 	tee := Tee(a, nil, b)
 	feedCleanExchange(tee)
-	if a.Sum() != b.Sum() || a.Events() != 4 || b.Events() != 4 {
+	if a.Sum() != b.Sum() || a.Events() != 5 || b.Events() != 5 {
 		t.Fatalf("tee did not fan out: %d/%d events", a.Events(), b.Events())
 	}
 }

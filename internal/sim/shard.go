@@ -229,7 +229,6 @@ func (e *shardEngine) phase1(s int) {
 		}
 		w.nodes[p].Step(now, inbox, &r.outbox)
 		w.metrics.Steps[p]++
-		w.lastSched[p] = now
 		sLo := len(r.sent)
 		r.sent = append(r.sent, r.outbox.msgs...)
 		r.recs = append(r.recs, procRec{

@@ -184,9 +184,6 @@ type Config struct {
 	// so they sample targets from their neighborhoods; the world-level
 	// filter is the enforcement backstop, not the steering mechanism.
 	Graph topology.Graph
-	// ValidateDelta makes the world verify the adversary's schedule obeys
-	// the δ bound and return an error when violated (used in tests).
-	ValidateDelta bool
 	// Shards splits the run into this many contiguous id-range shards
 	// executed as deterministic supersteps (see shard.go). 0 or 1 selects
 	// the serial kernel; counts above N are clamped. Sharding is invisible

@@ -12,10 +12,6 @@ import (
 // satisfy the paper's quiescence property must never time out.
 var ErrTimeout = errors.New("sim: world did not go quiet within MaxSteps")
 
-// ErrDeltaViolated is returned when ValidateDelta is set and the adversary
-// starves a live process beyond the configured δ bound.
-var ErrDeltaViolated = errors.New("sim: schedule violated the δ bound")
-
 // World is a single-threaded discrete-time simulation of the paper's model.
 // It is intentionally not goroutine-per-process: adversarial scheduling,
 // exact message counting and reproducibility all require a deterministic
@@ -38,8 +34,6 @@ type World struct {
 	nAlive  int
 	now     Time
 	metrics *Metrics
-
-	lastSched []Time // last time each process was scheduled (δ validation)
 
 	schedBuf []ProcID
 	crashBuf []ProcID
@@ -73,13 +67,12 @@ func NewWorld(cfg Config, nodes []Node, adv Adversary) (*World, error) {
 		cfg.MaxSteps = DefaultMaxSteps(cfg)
 	}
 	w := &World{
-		cfg:       cfg,
-		nodes:     nodes,
-		adv:       adv,
-		alive:     make([]bool, cfg.N),
-		nAlive:    cfg.N,
-		metrics:   newMetrics(cfg.N),
-		lastSched: make([]Time, cfg.N),
+		cfg:     cfg,
+		nodes:   nodes,
+		adv:     adv,
+		alive:   make([]bool, cfg.N),
+		nAlive:  cfg.N,
+		metrics: newMetrics(cfg.N),
 	}
 	if shards := EffectiveShards(cfg.N, cfg.Shards); shards > 1 {
 		w.eng = newShardEngine(w, shards, cfg.ShardWorkers)
@@ -88,7 +81,6 @@ func NewWorld(cfg Config, nodes []Node, adv Adversary) (*World, error) {
 	}
 	for i := range w.alive {
 		w.alive[i] = true
-		w.lastSched[i] = -1
 	}
 	return w, nil
 }
@@ -161,9 +153,7 @@ func (w *World) Run(eval Evaluator) (Result, error) {
 		defer w.eng.stop()
 	}
 	for w.now = 0; w.now < w.cfg.MaxSteps; w.now++ {
-		if err := w.stepTime(); err != nil {
-			return res, err
-		}
+		w.stepTime()
 		if w.isQuiet() {
 			quiet = true
 			break
@@ -207,7 +197,7 @@ func (w *World) Run(eval Evaluator) (Result, error) {
 }
 
 // stepTime advances the world by one time step.
-func (w *World) stepTime() error {
+func (w *World) stepTime() {
 	// 1. Crashes at the start of the step, subject to the budget F.
 	w.crashBuf = w.adv.Crashes(w.now, w, w.crashBuf[:0])
 	for _, p := range w.crashBuf {
@@ -232,9 +222,7 @@ func (w *World) stepTime() error {
 			if !w.Alive(p) {
 				continue
 			}
-			if err := w.stepProcess(p); err != nil {
-				return err
-			}
+			w.stepProcess(p)
 		}
 	}
 
@@ -242,30 +230,14 @@ func (w *World) stepTime() error {
 	if w.probe != nil {
 		w.probe(w)
 	}
-
-	// 4. δ validation (tests only). lastSched starts at -1, so the check
-	// covers the first window too: a process must take its first step by
-	// t = δ-1, i.e. within δ steps of time 0, exactly as in steady state.
-	// (An earlier `now >= δ` guard silently forgave a first schedule at
-	// t = δ — one whole missed window.)
-	if w.cfg.ValidateDelta {
-		for p := 0; p < w.cfg.N; p++ {
-			if w.alive[p] && w.now-w.lastSched[p] >= w.cfg.Delta {
-				return fmt.Errorf("%w: process %d not scheduled in (%d, %d]",
-					ErrDeltaViolated, p, w.lastSched[p], w.now)
-			}
-		}
-	}
-	return nil
 }
 
 // stepProcess runs one local step of live process p.
-func (w *World) stepProcess(p ProcID) error {
+func (w *World) stepProcess(p ProcID) {
 	inbox := w.drainReady(p)
 	w.outbox.reset(p, w.now, w.cfg.N)
 	w.nodes[p].Step(w.now, inbox, &w.outbox)
 	w.metrics.Steps[p]++
-	w.lastSched[p] = w.now
 	w.metrics.OutOfRangeDrops += w.outbox.oorDrops
 	for i := range w.outbox.msgs {
 		m := w.outbox.msgs[i]
@@ -309,7 +281,6 @@ func (w *World) stepProcess(p ProcID) error {
 		w.tracer.OnStep(p, w.now)
 	}
 	w.releaseInbox(inbox)
-	return nil
 }
 
 // drainReady removes and returns the messages pending for p whose ReadyAt

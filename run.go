@@ -4,15 +4,15 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/adversary"
+	"repro/internal/assemble"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/lowerbound"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/syncgossip"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 )
 
 // Spec is a typed run specification accepted by Run: one of GossipSpec,
@@ -212,42 +212,23 @@ func RunMany[S Spec](ctx context.Context, specs []S, opts ...Option) (results []
 // runGossipSpec is the gossip engine behind Run.
 func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 	spec = spec.withDefaults()
-	proto, err := syncgossip.ProtocolByName(spec.Protocol)
+	spec.Tuning.Lean = spec.Tuning.Lean || o.lean
+	pc, err := assemble.Build(assemble.Run{
+		Protocol: spec.Protocol,
+		N:        spec.N, F: spec.F,
+		D: Time(spec.D), Delta: Time(spec.Delta),
+		Seed: spec.Seed, MaxSteps: Time(spec.MaxSteps),
+		Gossip: spec.Tuning,
+		Topology: topology.Spec{
+			Family: spec.Topology, Param: spec.TopologyParam, Param2: spec.TopologyParam2, Seed: spec.Seed,
+		},
+		Preset: spec.Adversary,
+		Shards: o.shards, ShardWorkers: o.workers,
+	})
 	if err != nil {
 		return nil, err
 	}
-	p := spec.Tuning
-	p.N, p.F = spec.N, spec.F
-	if o.shards != 0 {
-		p.Shards = o.shards
-	}
-	if o.lean {
-		p.Lean = true
-	}
-	graph, err := buildTopology(spec.Topology, spec.N, spec.TopologyParam, spec.TopologyParam2, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if graph != nil {
-		p.Graph = graph
-	}
-	nodes, err := core.NewNodes(proto, p, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	simCfg := sim.Config{
-		N: spec.N, F: spec.F,
-		D: sim.Time(spec.D), Delta: sim.Time(spec.Delta),
-		Seed: spec.Seed, MaxSteps: sim.Time(spec.MaxSteps),
-		Graph:        graph,
-		Shards:       o.shards,
-		ShardWorkers: o.workers,
-	}
-	adv, err := adversary.ByName(spec.Adversary, simCfg)
-	if err != nil {
-		return nil, err
-	}
-	w, err := sim.NewWorld(simCfg, nodes, adv)
+	w, err := sim.NewWorld(pc.Config, pc.Nodes, pc.Adversary)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +241,7 @@ func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 	if tracer := o.observers(timeline); tracer != nil {
 		w.SetTracer(tracer)
 	}
-	res, runErr := w.Run(proto.Evaluator(p.WithDefaults()))
+	res, runErr := w.Run(pc.Evaluator)
 	out := &GossipResult{
 		Completed:       res.Completed,
 		TimeSteps:       int64(res.TimeComplexity),
@@ -283,7 +264,7 @@ func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 		// Materializing Rumors is Θ(n²); lean runs skip it so results of
 		// very large sweeps stay O(n).
 		for q := 0; q < spec.N; q++ {
-			if h, ok := nodes[q].(core.RumorHolder); ok {
+			if h, ok := pc.Nodes[q].(core.RumorHolder); ok {
 				out.Rumors = append(out.Rumors, h.RumorSet().Elements())
 			} else {
 				out.Rumors = append(out.Rumors, nil)
@@ -299,52 +280,31 @@ func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 // runConsensusSpec is the consensus engine behind Run.
 func runConsensusSpec(spec ConsensusSpec, o runOptions) (*ConsensusResult, error) {
 	spec = spec.withDefaults()
-	p := consensus.Params{
-		N: spec.N, F: spec.F,
+	spec.Tuning.Lean = spec.Tuning.Lean || o.lean
+	pc, err := assemble.Build(assemble.Run{
 		Transport: consensus.TransportKind(spec.Transport),
-		Gossip:    spec.Tuning,
-	}
-	if o.lean {
-		p.Gossip.Lean = true
-	}
-	graph, err := buildTopology(spec.Topology, spec.N, spec.TopologyParam, spec.TopologyParam2, spec.Seed)
+		N:         spec.N, F: spec.F,
+		D: Time(spec.D), Delta: Time(spec.Delta),
+		Seed: spec.Seed, MaxSteps: Time(spec.MaxSteps),
+		Gossip: spec.Tuning,
+		Topology: topology.Spec{
+			Family: spec.Topology, Param: spec.TopologyParam, Param2: spec.TopologyParam2, Seed: spec.Seed,
+		},
+		Preset: spec.Adversary,
+		Shards: o.shards, ShardWorkers: o.workers,
+		LocalCoin: spec.LocalCoin, Inputs: spec.Inputs,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if graph != nil {
-		p.Gossip.Graph = graph
-	}
-	if spec.LocalCoin {
-		p.Coin = consensus.NewLocalCoin(spec.Seed)
-	}
-	inputs := spec.Inputs
-	if inputs == nil {
-		inputs = consensus.RandomInputs(spec.N, spec.Seed)
-	}
-	nodes, err := consensus.NewNodes(p, inputs, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	simCfg := sim.Config{
-		N: spec.N, F: spec.F,
-		D: sim.Time(spec.D), Delta: sim.Time(spec.Delta),
-		Seed: spec.Seed, MaxSteps: sim.Time(spec.MaxSteps),
-		Graph:        graph,
-		Shards:       o.shards,
-		ShardWorkers: o.workers,
-	}
-	adv, err := adversary.ByName(spec.Adversary, simCfg)
-	if err != nil {
-		return nil, err
-	}
-	w, err := sim.NewWorld(simCfg, nodes, adv)
+	w, err := sim.NewWorld(pc.Config, pc.Nodes, pc.Adversary)
 	if err != nil {
 		return nil, err
 	}
 	if tracer := o.observers(nil); tracer != nil {
 		w.SetTracer(tracer)
 	}
-	res, runErr := w.Run(consensus.Evaluator{Inputs: inputs})
+	res, runErr := w.Run(pc.Evaluator)
 	out := &ConsensusResult{
 		Completed:    res.Completed,
 		TimeSteps:    int64(res.CompletedAt),
@@ -352,11 +312,11 @@ func runConsensusSpec(spec ConsensusSpec, o runOptions) (*ConsensusResult, error
 		Bytes:        res.Bytes,
 		BytesKnown:   res.BytesKnown,
 		Crashes:      res.Crashes,
-		Inputs:       inputs,
+		Inputs:       pc.Inputs,
 		OffEdgeDrops: res.OffEdgeDrops,
 	}
 	for q := 0; q < spec.N; q++ {
-		cn := nodes[q].(*consensus.Node)
+		cn := pc.Nodes[q].(*consensus.Node)
 		if decided, v, _ := cn.Decided(); decided {
 			out.Decision = v
 		}
