@@ -109,7 +109,7 @@ func TestGossipEnvelopeRoundTrip(t *testing.T) {
 		From:    3,
 		To:      11,
 		SentAt:  1_234_567_890,
-		Payload: core.AvgPayload{S: 2.5, W: 0.5},
+		Payload: &core.AvgPayload{S: 2.5, W: 0.5},
 	}
 	body, err := cluster.AppendGossip(nil, want)
 	if err != nil {

@@ -133,6 +133,9 @@ type Node struct {
 	// strand everyone else below the threshold forever. Old instances are
 	// retired once their gossip is idle or they fall out of the window.
 	trs map[int]transport
+	// spareInbox is inbox storage a retired gossip transport left behind,
+	// handed to the next instance openInstance creates.
+	spareInbox []sim.Message
 
 	outputs []*core.Rumors
 	hist    *History
@@ -240,19 +243,28 @@ func (n *Node) startGetCore(vote uint8) {
 	}
 }
 
-// openInstance creates the transport for the current instance and prunes
-// retired ones.
+// openInstance prunes retired transports and creates the transport for
+// the current instance, whose index is not in the map yet. A retired gossip
+// transport's inbox storage becomes the spare the new instance starts with,
+// so instances stop regrowing their inboxes from nil.
 func (n *Node) openInstance() {
 	if n.trs == nil {
 		n.trs = make(map[int]transport, windowSpan+1)
 	}
 	idx := n.curIdx()
-	n.trs[idx] = n.factory(idx, n.r.Fork(uint64(idx)+0x7A))
 	for k, tr := range n.trs {
-		if k < idx-windowSpan || (k != idx && tr.idle()) {
+		if k < idx-windowSpan || tr.idle() {
+			if pt, ok := tr.(*protocolTransport); ok && cap(pt.inbox) > cap(n.spareInbox) {
+				n.spareInbox = pt.inbox[:0]
+			}
 			delete(n.trs, k)
 		}
 	}
+	tr := n.factory(idx, n.r.Fork(uint64(idx)+0x7A))
+	if pt, ok := tr.(*protocolTransport); ok {
+		pt.inbox, n.spareInbox = n.spareInbox, nil
+	}
+	n.trs[idx] = tr
 }
 
 // cur returns the current instance's transport.

@@ -175,3 +175,22 @@ func (a syncAdv) Schedule(_ sim.Time, _ sim.View, buf []sim.ProcID) []sim.ProcID
 func (syncAdv) Delay(sim.Time, sim.ProcID, sim.ProcID) sim.Time { return 1 }
 
 func (syncAdv) Crashes(_ sim.Time, _ sim.View, buf []sim.ProcID) []sim.ProcID { return buf }
+
+// TestAveragingAllocsPerMessage pins the whole-run allocation rate of one
+// averaging run (construction included) at n=256: a send that boxes its
+// payload into the sim.Payload interface costs one allocation per
+// message and fails it.
+func TestAveragingAllocsPerMessage(t *testing.T) {
+	const budget = 0.05
+	cfg := sim.Config{N: 256, F: 0, D: 2, Delta: 2, Seed: 1}
+	var msgs int64
+	allocs := testing.AllocsPerRun(1, func() {
+		res, _ := averagingRun(t, cfg, nil)
+		msgs = res.Messages
+	})
+	perMsg := allocs / float64(msgs)
+	t.Logf("average n=%d: %.0f allocations for %d messages (%.3f/msg)", cfg.N, allocs, msgs, perMsg)
+	if perMsg > budget {
+		t.Fatalf("averaging allocates %.3f per message, budget %.2f", perMsg, budget)
+	}
+}

@@ -65,13 +65,16 @@ func (Average) Evaluator(p Params) sim.Evaluator {
 	return AveragingEvaluator{Params: p.WithDefaults()}
 }
 
-// AvgPayload is one message's share of sum-weight mass.
+// AvgPayload is one message's share of sum-weight mass. Nodes send it as
+// *AvgPayload, carved from a per-node chunk so that a send does not
+// allocate; a payload is never written again once sent, so receivers,
+// tracers and the wire codec may read it at any later time.
 type AvgPayload struct {
 	S float64
 	W float64
 }
 
-var _ sim.Sizer = AvgPayload{}
+var _ sim.Sizer = (*AvgPayload)(nil)
 
 // SizeBytes implements sim.Sizer: two float64 components.
 func (AvgPayload) SizeBytes() int { return 16 }
@@ -84,7 +87,14 @@ type avgNode struct {
 	lastUpdate sim.Time
 	peers      topology.Sampler
 	r          *rng.RNG
+	// chunk holds the node's unsent payload slots; each send carves
+	// chunk[0] off the front. It belongs to this node alone, so sharded
+	// supersteps never share a slot.
+	chunk []AvgPayload
 }
+
+// avgChunk caps the payload slots one chunk allocation provides.
+const avgChunk = 64
 
 var (
 	_ sim.Node     = (*avgNode)(nil)
@@ -100,7 +110,7 @@ func (nd *avgNode) ID() sim.ProcID { return nd.id }
 // order makes this deterministic), then halve-and-send while in budget.
 func (nd *avgNode) Step(now sim.Time, inbox []sim.Message, out *sim.Outbox) {
 	for _, m := range inbox {
-		if pl, ok := m.Payload.(AvgPayload); ok {
+		if pl, ok := m.Payload.(*AvgPayload); ok {
 			nd.s += pl.S
 			nd.w += pl.W
 			nd.lastUpdate = now
@@ -116,8 +126,21 @@ func (nd *avgNode) Step(now sim.Time, inbox []sim.Message, out *sim.Outbox) {
 		nd.s /= 2
 		nd.w /= 2
 		nd.lastUpdate = now
-		out.Send(sim.ProcID(q), AvgPayload{S: nd.s, W: nd.w})
+		out.Send(sim.ProcID(q), nd.payload())
 	}
+}
+
+// payload carves the next payload slot, filled with the current (s, w).
+// An empty chunk is refilled with at most the sends still budgeted, this
+// one included, so a node never allocates slots it cannot use.
+func (nd *avgNode) payload() *AvgPayload {
+	if len(nd.chunk) == 0 {
+		nd.chunk = make([]AvgPayload, min(avgChunk, nd.rounds+1))
+	}
+	pl := &nd.chunk[0]
+	nd.chunk = nd.chunk[1:]
+	*pl = AvgPayload{S: nd.s, W: nd.w}
+	return pl
 }
 
 // Quiescent implements sim.Node: the send budget is spent. Late-arriving
@@ -138,6 +161,7 @@ func (nd *avgNode) LastMassUpdate() sim.Time { return nd.lastUpdate }
 func (nd *avgNode) CloneNode() sim.Node {
 	c := *nd
 	c.r = nd.r.Clone()
+	c.chunk = nil // the original keeps carving its own slots
 	return &c
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -93,23 +94,7 @@ func TestAveragingReachesConsensus(t *testing.T) {
 // n, up to float addition error.
 func TestAveragingMassConservation(t *testing.T) {
 	cfg := sim.Config{N: 32, F: 0, D: 2, Delta: 2, Seed: 5}
-	p := Params{N: cfg.N}
-	nodes, err := NewNodes(Average{}, p, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, err := adversary.ByName(adversary.PresetStandard, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := sim.NewWorld(cfg, nodes, adv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := w.Run(Average{}.Evaluator(p))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, nodes := averagingRun(t, cfg, nil)
 	var sumS, sumW, sumX float64
 	for _, nd := range nodes {
 		st := nd.(AverageState)
@@ -126,10 +111,125 @@ func TestAveragingMassConservation(t *testing.T) {
 	}
 	// The exact n·R message count: every process spends its whole budget,
 	// one message per budgeted step, on a clique where sampling never fails.
-	p = p.WithDefaults()
+	p := Params{N: cfg.N}.WithDefaults()
 	if want := int64(cfg.N) * int64(p.AvgRounds()); res.Messages != want {
 		t.Fatalf("Messages = %d, want exactly n·R = %d", res.Messages, want)
 	}
+}
+
+// averagingRun runs averaging under the standard preset, tracing with tr
+// when it is non-nil, and fails the test unless the run completes. It
+// returns the result and the nodes in their final state.
+func averagingRun(t *testing.T, cfg sim.Config, tr sim.Tracer) (sim.Result, []sim.Node) {
+	t.Helper()
+	p := Params{N: cfg.N, Shards: cfg.Shards}
+	nodes, err := NewNodes(Average{}, p, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv, err := adversary.ByName(adversary.PresetStandard, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := sim.NewWorld(cfg, nodes, adv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr != nil {
+		w.SetTracer(tr)
+	}
+	res, err := w.Run(Average{}.Evaluator(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatalf("average n=%d shards=%d seed %d: not completed", cfg.N, cfg.Shards, cfg.Seed)
+	}
+	return res, nodes
+}
+
+// sentAvg is one sent averaging payload with the bits it carried when sent.
+type sentAvg struct {
+	pl   *AvgPayload
+	s, w uint64
+}
+
+func newSentAvg(pl *AvgPayload) sentAvg {
+	return sentAvg{pl: pl, s: math.Float64bits(pl.S), w: math.Float64bits(pl.W)}
+}
+
+// avgRetainTracer keeps every averaging payload handed to the kernel.
+type avgRetainTracer struct {
+	sim.NopTracer
+	sent []sentAvg
+}
+
+func (r *avgRetainTracer) OnSend(m sim.Message) {
+	if pl, ok := m.Payload.(*AvgPayload); ok {
+		r.sent = append(r.sent, newSentAvg(pl))
+	}
+}
+
+// checkSentAvg fails unless every retained payload still carries its
+// send-time bits and no two sends shared a payload slot.
+func checkSentAvg(t *testing.T, sent []sentAvg) {
+	t.Helper()
+	seen := make(map[*AvgPayload]int, len(sent))
+	for i, s := range sent {
+		if math.Float64bits(s.pl.S) != s.s || math.Float64bits(s.pl.W) != s.w {
+			t.Fatalf("send %d: payload changed after it was sent: (%v, %v)", i, s.pl.S, s.pl.W)
+		}
+		if j, dup := seen[s.pl]; dup {
+			t.Fatalf("sends %d and %d carried the same payload slot", j, i)
+		}
+		seen[s.pl] = i
+	}
+}
+
+// TestAveragingPayloadsStayImmutable pins the chunk-carving contract:
+// every payload a node sends keeps its (S, W) bits until the end of the
+// run, serial and sharded, and a CloneNode'd node stepped next to its
+// original carves its own slots rather than rewriting the original's.
+func TestAveragingPayloadsStayImmutable(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		rt := &avgRetainTracer{}
+		cfg := sim.Config{N: 64, F: 0, D: 2, Delta: 2, Seed: 3, Shards: shards}
+		res, _ := averagingRun(t, cfg, rt)
+		if int64(len(rt.sent)) != res.Messages {
+			t.Fatalf("shards=%d: retained %d payloads for %d messages", shards, len(rt.sent), res.Messages)
+		}
+		checkSentAvg(t, rt.sent)
+	}
+
+	const n = 16
+	p := Params{N: n}
+	orig := Average{}.NewNode(0, p, rng.New(5))
+	var out sim.Outbox
+	var sent []sentAvg
+	step := func(nd sim.Node, now sim.Time, inbox []sim.Message) {
+		out.Reset(nd.ID(), now, n)
+		nd.Step(now, inbox, &out)
+		for _, m := range out.Messages() {
+			sent = append(sent, newSentAvg(m.Payload.(*AvgPayload)))
+		}
+	}
+	// Carve part of the original's chunk, so the clone copies a chunk with
+	// unsent slots left in it.
+	for now := sim.Time(1); now <= 3; now++ {
+		step(orig, now, nil)
+	}
+	clone := orig.(sim.Cloner).CloneNode()
+	// Extra mass makes the clone's sends differ from the original's, so a
+	// shared slot would be overwritten with different bits.
+	extra := []sim.Message{{From: 1, To: 0, Payload: &AvgPayload{S: 1, W: 1}}}
+	for now := sim.Time(4); now <= 8; now++ {
+		step(orig, now, nil)
+		step(clone, now, extra)
+	}
+	if len(sent) != 3+2*5 {
+		t.Fatalf("stepped nodes sent %d payloads, want 13", len(sent))
+	}
+	checkSentAvg(t, sent)
 }
 
 // avgStateBits fingerprints the exact bit patterns of every node's
@@ -151,23 +251,7 @@ func avgStateBits(nodes []sim.Node) []uint64 {
 func TestAveragingFloatDeterminism(t *testing.T) {
 	run := func(shards int) ([]uint64, sim.Result) {
 		cfg := sim.Config{N: 33, F: 0, D: 3, Delta: 2, Seed: 13, Shards: shards}
-		p := Params{N: cfg.N, Shards: shards}
-		nodes, err := NewNodes(Average{}, p, cfg.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adv, err := adversary.ByName(adversary.PresetStandard, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := sim.NewWorld(cfg, nodes, adv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := w.Run(Average{}.Evaluator(p))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, nodes := averagingRun(t, cfg, nil)
 		return avgStateBits(nodes), res
 	}
 	refBits, refRes := run(0)

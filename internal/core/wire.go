@@ -26,7 +26,7 @@ const (
 
 	payloadKindGossip  = 1 // *GossipPayload (ears/sears/tears/trivial/naive, sync baselines)
 	payloadKindPP      = 2 // ppPayload (push/pull/push-pull singletons)
-	payloadKindAverage = 3 // AvgPayload (sum-weight mass)
+	payloadKindAverage = 3 // *AvgPayload (sum-weight mass)
 )
 
 // payloadMaxN bounds the universe size a decoder will materialize: a
@@ -87,7 +87,7 @@ func AppendPayload(dst []byte, pl sim.Payload) ([]byte, error) {
 		return dst, nil
 	case ppPayload:
 		return append(dst, PayloadWireVersion, payloadKindPP, byte(p)), nil
-	case AvgPayload:
+	case *AvgPayload:
 		dst = append(dst, PayloadWireVersion, payloadKindAverage)
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.S))
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.W))
@@ -178,7 +178,7 @@ func DecodePayload(src []byte) (sim.Payload, error) {
 		if len(body) != 16 {
 			return nil, fmt.Errorf("core: averaging payload has %d body bytes, want 16", len(body))
 		}
-		return AvgPayload{
+		return &AvgPayload{
 			S: math.Float64frombits(binary.BigEndian.Uint64(body[:8])),
 			W: math.Float64frombits(binary.BigEndian.Uint64(body[8:16])),
 		}, nil
@@ -213,8 +213,8 @@ func WirePayloadEquals(a, b sim.Payload) bool {
 	case ppPayload:
 		pb, ok := b.(ppPayload)
 		return ok && pa == pb
-	case AvgPayload:
-		pb, ok := b.(AvgPayload)
+	case *AvgPayload:
+		pb, ok := b.(*AvgPayload)
 		return ok && math.Float64bits(pa.S) == math.Float64bits(pb.S) &&
 			math.Float64bits(pa.W) == math.Float64bits(pb.W)
 	}

@@ -67,7 +67,7 @@ func goldenWirePayloads() []namedPayload {
 		namedPayload{"gossip-empty", gossipPayload(nil, nil, false)},
 		namedPayload{"pp-rumor", ppRumor},
 		namedPayload{"pp-request", ppRequest},
-		namedPayload{"avg", AvgPayload{S: -3.25, W: 0.125}},
+		namedPayload{"avg", &AvgPayload{S: -3.25, W: 0.125}},
 	)
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
@@ -36,8 +37,8 @@ func wirePayloads() map[string]interface{} {
 		"gossip-rumors-vals-n0":       gossipPayload(&Rumors{Set: bitset.New(0), Vals: []uint8{}}, nil, false),
 		"pp-rumor":                    ppRumor,
 		"pp-request":                  ppRequest,
-		"avg":                         AvgPayload{S: -3.25, W: 0.125},
-		"avg-zero":                    AvgPayload{},
+		"avg":                         &AvgPayload{S: -3.25, W: 0.125},
+		"avg-zero":                    &AvgPayload{},
 	}
 }
 
@@ -136,6 +137,12 @@ func TestPayloadWireRejectsPaddingBits(t *testing.T) {
 func TestPayloadWireRejectsUnsupported(t *testing.T) {
 	if _, err := AppendPayload(nil, struct{ X int }{1}); err == nil {
 		t.Error("arbitrary payload type encoded")
+	}
+	// Averaging nodes send *AvgPayload; the bare value is not a payload
+	// any protocol sends, so it has no encoding.
+	if _, err := AppendPayload(nil, AvgPayload{S: 1, W: 1}); err == nil ||
+		!strings.Contains(err.Error(), "no wire encoding") {
+		t.Errorf("bare AvgPayload value: err = %v, want a no-wire-encoding error", err)
 	}
 	set := bitset.New(8)
 	m := bitset.NewMatrix(16)
