@@ -42,6 +42,8 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/assemble"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -306,27 +308,24 @@ func run(args []string, out io.Writer) error {
 				delta = 2
 			}
 			name := fmt.Sprintf("%s/%s/n=%d", cell.proto, label, n)
-			spec := experiments.GossipSpec{
-				Proto: cell.proto, N: n, F: f,
+			run := assemble.Run{
+				Protocol: cell.proto, N: n, F: f,
 				D: sim.Time(d), Delta: sim.Time(delta),
-				Seeds: cellSeeds, Workers: *workers,
-				Topology: family,
-				// Each cell gets its own derived seed stream, so cells
-				// never share randomness just because they share run
-				// indices.
-				SeedLabel: name,
+				Gossip:   core.Params{Lean: cell.lean, PushPullC: cell.pushC},
+				Topology: topology.Spec{Family: family},
+				Shards:   cell.shards,
 			}
-			spec.Gossip.Lean = cell.lean
-			spec.Gossip.PushPullC = cell.pushC
-			spec.Shards = cell.shards
 			if *shards > 0 {
-				spec.Shards = *shards
+				run.Shards = *shards
 			}
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			start := time.Now()
-			m, err := experiments.MeasureGossip(spec)
+			// Each cell gets its own derived seed stream, so cells never
+			// share randomness just because they share run indices.
+			m, err := experiments.Measure(experiments.Point{Run: run, Seeds: cellSeeds, SeedLabel: name},
+				experiments.Env{Workers: *workers})
 			wall := time.Since(start)
 			runtime.ReadMemStats(&after)
 			// A cell where every run failed is a suite bug on the clique,
@@ -343,7 +342,7 @@ func run(args []string, out io.Writer) error {
 				Seeds:            cellSeeds,
 				Failures:         m.Failures,
 				Lean:             cell.lean,
-				Shards:           spec.Shards,
+				Shards:           run.Shards,
 				StepsPerRun:      m.Time.Mean,
 				StepsStd:         m.Time.Std,
 				MsgsPerRun:       m.Messages.Mean,

@@ -50,7 +50,7 @@ func run(args []string, out io.Writer) error {
 		full    = fs.Bool("full", false, "full scale (experiments.Full sizes; slower)")
 		d       = fs.Int("d", 2, "max message delay for the tables")
 		delta   = fs.Int("delta", 2, "max scheduling gap for the tables")
-		seed    = fs.Int64("seed", 1, "random seed")
+		seed    = fs.Int64("seed", 1, "random seed of figure1, stages and latency (the other tables use run-index seeds)")
 		workers = fs.Int("workers", 0, "worker pool for the (spec × seed) grid (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		shards  = fs.Int("shards", 0, "split each run into this many superstep shards (0/1 = serial kernel; results are identical)")
 		seeds   = fs.Int("seeds", 0, "per-point repetition count (0 = scale default)")
@@ -93,16 +93,16 @@ func run(args []string, out io.Writer) error {
 		{"table1", func() (tabler, error) { return experiments.Table1(env, *d, *delta) }},
 		{"table2", func() (tabler, error) { return experiments.Table2(env, *d, *delta) }},
 		{"figure1", func() (tabler, error) { return experiments.Figure1(env, *seed) }},
-		{"coa", func() (tabler, error) { return experiments.CostOfAsynchrony(env, *seed) }},
-		{"delta", func() (tabler, error) { return experiments.DeltaSweep(env, *seed) }},
-		{"fsweep", func() (tabler, error) { return experiments.FSweep(env, *seed) }},
-		{"crossover", func() (tabler, error) { return experiments.Crossover(env, *seed) }},
+		{"coa", func() (tabler, error) { return experiments.CostOfAsynchrony(env) }},
+		{"delta", func() (tabler, error) { return experiments.DeltaSweep(env) }},
+		{"fsweep", func() (tabler, error) { return experiments.FSweep(env) }},
+		{"crossover", func() (tabler, error) { return experiments.Crossover(env) }},
 		{"stages", func() (tabler, error) { return experiments.EarsStages(env, *seed) }},
 		{"latency", func() (tabler, error) { return experiments.RumorLatencyTables(env, *seed) }},
-		{"topology", func() (tabler, error) { return experiments.TopologySweep(env, *seed) }},
-		{"npsweep", func() (tabler, error) { return experiments.NPSweep(env, *seed) }},
-		{"pushpull", func() (tabler, error) { return experiments.PushPullSweep(env, *seed) }},
-		{"avgcurve", func() (tabler, error) { return experiments.AveragingCurve(env, *seed) }},
+		{"topology", func() (tabler, error) { return experiments.TopologySweep(env) }},
+		{"npsweep", func() (tabler, error) { return experiments.NPSweep(env) }},
+		{"pushpull", func() (tabler, error) { return experiments.PushPullSweep(env) }},
+		{"avgcurve", func() (tabler, error) { return experiments.AveragingCurve(env) }},
 	}
 	for _, j := range jobs {
 		if !want(j.name) {
@@ -117,7 +117,7 @@ func run(args []string, out io.Writer) error {
 		}
 		// The δ companion of the d sweep.
 		if j.name == "delta" {
-			sres, err := experiments.SchedSweep(env, *seed)
+			sres, err := experiments.SchedSweep(env)
 			if err != nil {
 				return err
 			}
@@ -129,9 +129,9 @@ func run(args []string, out io.Writer) error {
 
 	if want("ablations") {
 		abls := []job{
-			{"ablation-shutdown", func() (tabler, error) { return experiments.AblationShutdown(env, *seed) }},
-			{"ablation-epsilon", func() (tabler, error) { return experiments.AblationEpsilon(env, *seed) }},
-			{"ablation-coin", func() (tabler, error) { return experiments.AblationCoin(env, *seed) }},
+			{"ablation-shutdown", func() (tabler, error) { return experiments.AblationShutdown(env) }},
+			{"ablation-epsilon", func() (tabler, error) { return experiments.AblationEpsilon(env) }},
+			{"ablation-coin", func() (tabler, error) { return experiments.AblationCoin(env) }},
 		}
 		for _, j := range abls {
 			res, err := j.make()

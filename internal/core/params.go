@@ -162,16 +162,12 @@ func (p Params) sampler(id int) topology.Sampler {
 }
 
 // obligationRows returns the informed-list obligation scope for process id:
-// nil on the paper's complete graph — implicit (Graph == nil) or explicit
-// (topology.Complete), which must stay bit-identical — and the neighbor
-// set on a real sparse topology, where a process can only cover rows it
-// can address (see informedList). The set draws from the pool when one is
+// nil on the paper's complete graph (Graph == nil), and the neighbor set on
+// a real sparse topology, where a process can only cover rows it can
+// address (see informedList). The set draws from the pool when one is
 // configured and is treated as immutable by its consumers.
 func (p Params) obligationRows(id int) *bitset.Set {
 	if p.Graph == nil {
-		return nil
-	}
-	if _, complete := p.Graph.(topology.Complete); complete {
 		return nil
 	}
 	var s *bitset.Set

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
+	"repro/internal/assemble"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -21,7 +22,7 @@ type DeltaSweepResult struct {
 }
 
 // DeltaSweep runs the d sweep.
-func DeltaSweep(env Env, seed int64) (*DeltaSweepResult, error) {
+func DeltaSweep(env Env) (*DeltaSweepResult, error) {
 	n := 128
 	ds := []int{1, 2, 4, 8, 16}
 	if env.Scale == Quick {
@@ -31,17 +32,17 @@ func DeltaSweep(env Env, seed int64) (*DeltaSweepResult, error) {
 	f := n / 4
 	res := &DeltaSweepResult{Ds: ds, Series: map[string][]float64{}, N: n, F: f}
 	protos := []string{"ears", "sears", "tears"}
-	var specs []GossipSpec
+	var points []Point
 	for _, proto := range protos {
 		for _, d := range ds {
-			specs = append(specs, GossipSpec{
-				Proto: proto, N: n, F: f,
+			points = append(points, Point{Run: assemble.Run{
+				Protocol: proto, N: n, F: f,
 				D: sim.Time(d), Delta: 1,
-				Preset: adversary.PresetMaxDelay, Seeds: env.seeds(),
-			})
+				Preset: adversary.PresetMaxDelay,
+			}})
 		}
 	}
-	ms, errs := measureGossipGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	cell := 0
 	for _, proto := range protos {
 		for _, d := range ds {
@@ -95,22 +96,22 @@ type ShutdownAblationResult struct {
 }
 
 // AblationShutdown runs the ShutdownC sweep for ears.
-func AblationShutdown(env Env, seed int64) (*ShutdownAblationResult, error) {
+func AblationShutdown(env Env) (*ShutdownAblationResult, error) {
 	n := 128
 	if env.Scale == Quick {
 		n = 64
 	}
 	f := n / 4
 	res := &ShutdownAblationResult{Cs: []float64{0.5, 1, 2, 6, 12}, N: n, F: f}
-	specs := make([]GossipSpec, len(res.Cs))
+	points := make([]Point, len(res.Cs))
 	for i, c := range res.Cs {
-		specs[i] = GossipSpec{
-			Proto: "ears", N: n, F: f, D: 2, Delta: 2,
-			Preset: adversary.PresetStandard, Seeds: env.seeds(),
+		points[i] = Point{Run: assemble.Run{
+			Protocol: "ears", N: n, F: f, D: 2, Delta: 2,
+			Preset: adversary.PresetStandard,
 			Gossip: core.Params{ShutdownC: c},
-		}
+		}}
 	}
-	ms, errs := measureGossipGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	for i, c := range res.Cs {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("shutdown ablation c=%v: %w", c, errs[i])
@@ -143,22 +144,22 @@ type EpsilonAblationResult struct {
 }
 
 // AblationEpsilon runs the sears ε sweep.
-func AblationEpsilon(env Env, seed int64) (*EpsilonAblationResult, error) {
+func AblationEpsilon(env Env) (*EpsilonAblationResult, error) {
 	n := 128
 	if env.Scale == Quick {
 		n = 64
 	}
 	f := n / 4
 	res := &EpsilonAblationResult{Epsilons: []float64{0.25, 0.4, 0.5, 0.75}, N: n, F: f}
-	specs := make([]GossipSpec, len(res.Epsilons))
+	points := make([]Point, len(res.Epsilons))
 	for i, eps := range res.Epsilons {
-		specs[i] = GossipSpec{
-			Proto: "sears", N: n, F: f, D: 2, Delta: 2,
-			Preset: adversary.PresetStandard, Seeds: env.seeds(),
+		points[i] = Point{Run: assemble.Run{
+			Protocol: "sears", N: n, F: f, D: 2, Delta: 2,
+			Preset: adversary.PresetStandard,
 			Gossip: core.Params{Epsilon: eps},
-		}
+		}}
 	}
-	ms, errs := measureGossipGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	for i, eps := range res.Epsilons {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("epsilon ablation ε=%v: %w", eps, errs[i])
@@ -196,27 +197,31 @@ type CoinAblationResult struct {
 // pathology. The comparison stays meaningful (and bounded) away from that
 // cliff; the cliff itself is documented by BenchmarkAblationCoin's
 // timeout-rate metric.
-func AblationCoin(env Env, seed int64) (*CoinAblationResult, error) {
+func AblationCoin(env Env) (*CoinAblationResult, error) {
 	n := 32
 	if env.Scale == Quick {
 		n = 16
 	}
 	f := n / 4
 	res := &CoinAblationResult{Coins: []string{"common", "local"}, N: n, F: f}
-	specs := make([]ConsensusSpec, len(res.Coins))
+	// A perfect 0/1 split denies the first round a majority, so every
+	// undecided process reaches the coin — the case where the coin
+	// flavors actually differ.
+	split := make([]uint8, n)
+	for q := range split {
+		split[q] = uint8(q % 2)
+	}
+	points := make([]Point, len(res.Coins))
 	for i, coin := range res.Coins {
-		specs[i] = ConsensusSpec{
+		points[i] = Point{Run: assemble.Run{
 			Transport: consensus.TransportDirect, N: n, F: f,
 			D: 2, Delta: 2,
-			Preset: adversary.PresetStandard, Seeds: env.seeds() + 2,
+			Preset:    adversary.PresetStandard,
 			LocalCoin: coin == "local",
-			// A perfect 0/1 split denies the first round a majority, so
-			// every undecided process reaches the coin — the case where
-			// the coin flavors actually differ.
-			SplitInputs: true,
-		}
+			Inputs:    split,
+		}, Seeds: env.seeds() + 2}
 	}
-	ms, errs := measureConsensusGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	for i, coin := range res.Coins {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("coin ablation %s: %w", coin, errs[i])

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
-	"repro/internal/sim"
+	"repro/internal/assemble"
 	"repro/internal/stats"
 )
 
@@ -36,27 +36,24 @@ type CoAResult struct {
 // messages. The measured ratios witness the corollary's disjunction
 // qualitatively: at f = Θ(n), asynchronous gossip pays a Θ(f) time factor
 // or a Θ(1+f²/n) message factor over the synchronous optimum.
-func CostOfAsynchrony(env Env, seed int64) (*CoAResult, error) {
+func CostOfAsynchrony(env Env) (*CoAResult, error) {
 	n := 256
 	if env.Scale == Quick {
 		n = 128
 	}
 	f := n / 4
-	seeds := env.seeds()
 
-	// One grid: the synchronous baseline plus every asynchronous protocol.
+	// One grid: the synchronous baseline plus every asynchronous protocol,
+	// all in the same d = δ = 1 world.
 	asyncProtos := []string{"trivial", "ears", "sears", "tears"}
-	specs := []GossipSpec{{
-		Proto: "sync-epidemic", N: n, F: f, D: 1, Delta: 1,
-		Preset: adversary.PresetStandard, Seeds: seeds,
-	}}
-	for _, proto := range asyncProtos {
-		specs = append(specs, GossipSpec{
-			Proto: proto, N: n, F: f, D: sim.Time(1), Delta: sim.Time(1),
-			Preset: adversary.PresetStandard, Seeds: seeds,
-		})
+	var points []Point
+	for _, proto := range append([]string{"sync-epidemic"}, asyncProtos...) {
+		points = append(points, Point{Run: assemble.Run{
+			Protocol: proto, N: n, F: f, D: 1, Delta: 1,
+			Preset: adversary.PresetStandard,
+		}})
 	}
-	ms, errs := measureGossipGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	if errs[0] != nil {
 		return nil, fmt.Errorf("coa sync baseline: %w", errs[0])
 	}

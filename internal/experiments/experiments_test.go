@@ -5,18 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/consensus"
+	"repro/internal/topology"
 )
 
-// measureConsensus runs one consensus spec over its seeds, on the spec's
-// own worker count.
-func measureConsensus(spec ConsensusSpec) (Measurement, error) {
-	ms, errs := measureConsensusGrid([]ConsensusSpec{spec}, Env{Workers: spec.Workers})
-	return ms[0], errs[0]
-}
-
 func TestMeasureGossipBasic(t *testing.T) {
-	m, err := MeasureGossip(GossipSpec{Proto: "trivial", N: 16, F: 4, D: 1, Delta: 1, Seeds: 2})
+	m, err := Measure(Point{Run: assemble.Run{Protocol: "trivial", N: 16, F: 4, D: 1, Delta: 1}, Seeds: 2}, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,39 +23,39 @@ func TestMeasureGossipBasic(t *testing.T) {
 	}
 }
 
-// TestMeasureShardsInvisible: the shard count — per spec or via Env — only
-// changes how runs execute, never what they measure.
+// TestMeasureShardsInvisible: the shard count — per point or via Env —
+// only changes how runs execute, never what they measure.
 func TestMeasureShardsInvisible(t *testing.T) {
-	base := GossipSpec{Proto: "tears", N: 33, F: 7, D: 2, Delta: 2, Seeds: 2}
-	serial, err := MeasureGossip(base)
+	base := Point{Run: assemble.Run{Protocol: "tears", N: 33, F: 7, D: 2, Delta: 2}, Seeds: 2}
+	serial, err := Measure(base, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded := base
 	sharded.Shards = 5
-	m, err := MeasureGossip(sharded)
+	m, err := Measure(sharded, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, m) {
 		t.Fatalf("sharded measurement diverged:\nserial  %+v\nsharded %+v", serial, m)
 	}
-	envMs, errs := measureGossipGrid([]GossipSpec{base}, Env{Shards: 5})
-	if errs[0] != nil {
-		t.Fatal(errs[0])
+	envM, err := Measure(base, Env{Shards: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, envMs[0]) {
-		t.Fatalf("Env.Shards measurement diverged:\nserial %+v\nenv    %+v", serial, envMs[0])
+	if !reflect.DeepEqual(serial, envM) {
+		t.Fatalf("Env.Shards measurement diverged:\nserial %+v\nenv    %+v", serial, envM)
 	}
 
-	cbase := ConsensusSpec{Transport: consensus.TransportTEARS, N: 21, F: 5, D: 2, Delta: 2, Seeds: 2}
-	cserial, err := measureConsensus(cbase)
+	cbase := Point{Run: assemble.Run{Transport: consensus.TransportTEARS, N: 21, F: 5, D: 2, Delta: 2}, Seeds: 2}
+	cserial, err := Measure(cbase, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	csharded := cbase
 	csharded.Shards = 4
-	cm, err := measureConsensus(csharded)
+	cm, err := Measure(csharded, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,19 +64,46 @@ func TestMeasureShardsInvisible(t *testing.T) {
 	}
 }
 
+// TestMeasureGridMixedPoints: a gossip point on Erdős–Rényi and a
+// consensus point without Inputs, measured on one grid, read exactly as
+// each does measured alone, so the per-seed graph and input rules hold
+// inside a mixed grid; and the grid resolves defaults on its own copy.
+func TestMeasureGridMixedPoints(t *testing.T) {
+	points := []Point{
+		{Run: assemble.Run{
+			Protocol: "ears", N: 32, D: 2, Delta: 2,
+			Topology: topology.Spec{Family: topology.FamilyErdosRenyi},
+		}, Seeds: 3},
+		{Run: assemble.Run{Transport: consensus.TransportTEARS, N: 21, F: 5, D: 2, Delta: 2}},
+	}
+	ms, errs := measureGrid(points, Env{Workers: 2})
+	if points[1].Seeds != 0 || points[1].Inputs != nil {
+		t.Fatalf("measureGrid wrote to the caller's point: %+v", points[1])
+	}
+	for i, p := range points {
+		alone, err := Measure(p, Env{Workers: 1})
+		if err != nil || errs[i] != nil {
+			t.Fatalf("point %d: grid error %v, alone error %v", i, errs[i], err)
+		}
+		if !reflect.DeepEqual(ms[i], alone) {
+			t.Fatalf("point %d diverges in a mixed grid:\ngrid  %+v\nalone %+v", i, ms[i], alone)
+		}
+	}
+}
+
 func TestMeasureGossipSeedLabel(t *testing.T) {
-	base := GossipSpec{Proto: "ears", N: 32, F: 8, D: 2, Delta: 2, Seeds: 3}
-	legacy, err := MeasureGossip(base)
+	base := Point{Run: assemble.Run{Protocol: "ears", N: 32, F: 8, D: 2, Delta: 2}, Seeds: 3}
+	legacy, err := Measure(base, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := base, base
 	a.SeedLabel, b.SeedLabel = "cell-a", "cell-b"
-	ma, err := MeasureGossip(a)
+	ma, err := Measure(a, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := MeasureGossip(b)
+	mb, err := Measure(b, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +113,7 @@ func TestMeasureGossipSeedLabel(t *testing.T) {
 		t.Fatalf("seed labels did not separate streams:\nlegacy: %+v\na: %+v\nb: %+v", legacy, ma, mb)
 	}
 	// The same label is deterministic.
-	ma2, err := MeasureGossip(a)
+	ma2, err := Measure(a, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +123,15 @@ func TestMeasureGossipSeedLabel(t *testing.T) {
 }
 
 func TestMeasureGossipUnknownProto(t *testing.T) {
-	if _, err := MeasureGossip(GossipSpec{Proto: "nope", N: 8, F: 0, D: 1, Delta: 1}); err == nil {
+	if _, err := Measure(Point{Run: assemble.Run{Protocol: "nope", N: 8, F: 0, D: 1, Delta: 1}}, Env{}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
 }
 
 func TestMeasureConsensusBasic(t *testing.T) {
-	m, err := measureConsensus(ConsensusSpec{
-		Transport: consensus.TransportDirect, N: 16, F: 7, D: 1, Delta: 1, Seeds: 2,
-	})
+	m, err := Measure(Point{Run: assemble.Run{
+		Transport: consensus.TransportDirect, N: 16, F: 7, D: 1, Delta: 1,
+	}, Seeds: 2}, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +216,7 @@ func TestCostOfAsynchronyQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coa in -short mode")
 	}
-	res, err := CostOfAsynchrony(Env{}, 1)
+	res, err := CostOfAsynchrony(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +230,7 @@ func TestDeltaSweepQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	res, err := DeltaSweep(Env{}, 1)
+	res, err := DeltaSweep(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,17 +254,17 @@ func TestAblationsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations in -short mode")
 	}
-	if res, err := AblationShutdown(Env{}, 1); err != nil {
+	if res, err := AblationShutdown(Env{}); err != nil {
 		t.Fatal(err)
 	} else if !strings.Contains(res.Render(), "shut-down") {
 		t.Fatal("bad render")
 	}
-	if res, err := AblationEpsilon(Env{}, 1); err != nil {
+	if res, err := AblationEpsilon(Env{}); err != nil {
 		t.Fatal(err)
 	} else if len(res.Time) != len(res.Epsilons) {
 		t.Fatal("missing points")
 	}
-	if res, err := AblationCoin(Env{}, 1); err != nil {
+	if res, err := AblationCoin(Env{}); err != nil {
 		t.Fatal(err)
 	} else if len(res.Time) != 2 {
 		t.Fatal("missing coins")
@@ -253,7 +275,7 @@ func TestSchedSweepQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	res, err := SchedSweep(Env{}, 1)
+	res, err := SchedSweep(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +296,7 @@ func TestFSweepQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	res, err := FSweep(Env{}, 1)
+	res, err := FSweep(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +314,7 @@ func TestCrossoverQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	res, err := Crossover(Env{}, 1)
+	res, err := Crossover(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +328,7 @@ func TestPushPullSweepQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	res, err := PushPullSweep(Env{}, 1)
+	res, err := PushPullSweep(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +353,7 @@ func TestAveragingCurveQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	res, err := AveragingCurve(Env{}, 1)
+	res, err := AveragingCurve(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

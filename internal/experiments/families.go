@@ -5,6 +5,8 @@ import (
 	"math"
 
 	"repro/internal/adversary"
+	"repro/internal/assemble"
+	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -34,7 +36,7 @@ type PushPullSweepResult struct {
 // sampled G(n, p) instances are not reliably connected, and a disconnected
 // graph fails the spreading promise by construction rather than measuring
 // anything about the protocol.
-func PushPullSweep(env Env, seed int64) (*PushPullSweepResult, error) {
+func PushPullSweep(env Env) (*PushPullSweepResult, error) {
 	n := 64
 	cs := []float64{2, 4, 8}
 	if env.Scale == Full {
@@ -48,7 +50,7 @@ func PushPullSweep(env Env, seed int64) (*PushPullSweepResult, error) {
 		Messages: map[string][]stats.Summary{},
 	}
 	logn := math.Log(float64(n))
-	var specs []GossipSpec
+	var points []Point
 	for _, c := range cs {
 		p := c * logn / float64(n)
 		if p > 1 {
@@ -56,14 +58,14 @@ func PushPullSweep(env Env, seed int64) (*PushPullSweepResult, error) {
 		}
 		res.MeanDeg = append(res.MeanDeg, p*float64(n))
 		for _, proto := range variants {
-			specs = append(specs, GossipSpec{
-				Proto: proto, N: n, F: 0, D: 2, Delta: 2,
-				Preset: adversary.PresetStandard, Seeds: env.seeds(),
-				Topology: topology.FamilyErdosRenyi, TopoParam: p,
-			})
+			points = append(points, Point{Run: assemble.Run{
+				Protocol: proto, N: n, F: 0, D: 2, Delta: 2,
+				Preset:   adversary.PresetStandard,
+				Topology: topology.Spec{Family: topology.FamilyErdosRenyi, Param: p},
+			}})
 		}
 	}
-	ms, errs := measureGossipGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	cell := 0
 	for _, c := range cs {
 		for _, proto := range variants {
@@ -120,7 +122,7 @@ type AveragingCurveResult struct {
 }
 
 // AveragingCurve runs the ε sweep.
-func AveragingCurve(env Env, seed int64) (*AveragingCurveResult, error) {
+func AveragingCurve(env Env) (*AveragingCurveResult, error) {
 	n := 64
 	eps := []float64{1e-1, 1e-2, 1e-3}
 	if env.Scale == Full {
@@ -128,22 +130,22 @@ func AveragingCurve(env Env, seed int64) (*AveragingCurveResult, error) {
 		eps = []float64{1e-1, 1e-2, 1e-3, 1e-4}
 	}
 	res := &AveragingCurveResult{N: n, Epsilons: eps}
-	specs := make([]GossipSpec, len(eps))
+	points := make([]Point, len(eps))
 	for i, e := range eps {
-		specs[i] = GossipSpec{
-			Proto: "average", N: n, F: 0, D: 2, Delta: 2,
-			Preset: adversary.PresetStandard, Seeds: env.seeds(),
-		}
-		specs[i].Gossip.AvgEpsilon = e
+		points[i] = Point{Run: assemble.Run{
+			Protocol: "average", N: n, F: 0, D: 2, Delta: 2,
+			Preset: adversary.PresetStandard,
+			Gossip: core.Params{AvgEpsilon: e},
+		}}
 	}
-	ms, errs := measureGossipGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	for i, e := range eps {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("averaging curve ε=%g: %w", e, errs[i])
 		}
 		res.Time = append(res.Time, ms[i].Time)
 		res.Messages = append(res.Messages, ms[i].Messages)
-		p := specs[i].Gossip
+		p := points[i].Gossip
 		p.N = n
 		res.Rounds = append(res.Rounds, p.WithDefaults().AvgRounds())
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
+	"repro/internal/assemble"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -22,7 +23,7 @@ type SchedSweepResult struct {
 }
 
 // SchedSweep runs the δ sweep.
-func SchedSweep(env Env, seed int64) (*SchedSweepResult, error) {
+func SchedSweep(env Env) (*SchedSweepResult, error) {
 	n := 128
 	deltas := []int{1, 2, 4, 8, 16}
 	if env.Scale == Quick {
@@ -32,17 +33,17 @@ func SchedSweep(env Env, seed int64) (*SchedSweepResult, error) {
 	f := n / 4
 	res := &SchedSweepResult{Deltas: deltas, Series: map[string][]float64{}, N: n, F: f}
 	protos := []string{"ears", "sears", "tears"}
-	var specs []GossipSpec
+	var points []Point
 	for _, proto := range protos {
 		for _, delta := range deltas {
-			specs = append(specs, GossipSpec{
-				Proto: proto, N: n, F: f,
+			points = append(points, Point{Run: assemble.Run{
+				Protocol: proto, N: n, F: f,
 				D: 1, Delta: sim.Time(delta),
-				Preset: adversary.PresetStandard, Seeds: env.seeds(),
-			})
+				Preset: adversary.PresetStandard,
+			}})
 		}
 	}
-	ms, errs := measureGossipGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	cell := 0
 	for _, proto := range protos {
 		for _, delta := range deltas {
@@ -106,21 +107,21 @@ type FSweepResult struct {
 // (all crashes at t=0, which realizes the n/(n−f) regime exactly: only
 // n−f processes ever participate, and random targets hit a live process
 // with probability (n−f)/n).
-func FSweep(env Env, seed int64) (*FSweepResult, error) {
+func FSweep(env Env) (*FSweepResult, error) {
 	n := 128
 	if env.Scale == Quick {
 		n = 64
 	}
 	fs := []int{0, n / 4, n / 2, 3 * n / 4, 7 * n / 8}
 	res := &FSweepResult{Fs: fs, N: n}
-	specs := make([]GossipSpec, len(fs))
+	points := make([]Point, len(fs))
 	for i, f := range fs {
-		specs[i] = GossipSpec{
-			Proto: "ears", N: n, F: f, D: 2, Delta: 2,
-			Preset: adversary.PresetCrashStorm, Seeds: env.seeds(),
-		}
+		points[i] = Point{Run: assemble.Run{
+			Protocol: "ears", N: n, F: f, D: 2, Delta: 2,
+			Preset: adversary.PresetCrashStorm,
+		}}
 	}
-	ms, errs := measureGossipGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	for i, f := range fs {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("f sweep f=%d: %w", f, errs[i])
@@ -156,22 +157,22 @@ type CrossoverResult struct {
 }
 
 // Crossover runs the comparison sweep.
-func Crossover(env Env, seed int64) (*CrossoverResult, error) {
+func Crossover(env Env) (*CrossoverResult, error) {
 	ns := []int{32, 64, 128, 256, 512}
 	if env.Scale == Quick {
 		ns = []int{32, 64, 128}
 	}
 	res := &CrossoverResult{Ns: ns}
-	var specs []GossipSpec
+	var points []Point
 	for _, n := range ns {
 		for _, proto := range []string{"trivial", "ears"} {
-			specs = append(specs, GossipSpec{
-				Proto: proto, N: n, F: n / 4, D: 2, Delta: 2,
-				Preset: adversary.PresetStandard, Seeds: env.seeds(),
-			})
+			points = append(points, Point{Run: assemble.Run{
+				Protocol: proto, N: n, F: n / 4, D: 2, Delta: 2,
+				Preset: adversary.PresetStandard,
+			}})
 		}
 	}
-	ms, errs := measureGossipGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	cell := 0
 	for _, n := range ns {
 		for _, proto := range []string{"trivial", "ears"} {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
+	"repro/internal/assemble"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -58,29 +59,28 @@ var table1Protos = []struct {
 func Table1(env Env, d, delta int) (*Table1Result, error) {
 	res := &Table1Result{Scale: env.Scale, D: d, Delta: delta}
 	ns := env.Scale.gossipNs()
-	var specs []GossipSpec
+	var points []Point
 	for _, tp := range table1Protos {
 		for _, n := range ns {
 			f := int(tp.fFraction * float64(n))
-			spec := GossipSpec{
-				Proto: tp.name, N: n, F: f,
+			run := assemble.Run{
+				Protocol: tp.name, N: n, F: f,
 				D: sim.Time(d), Delta: sim.Time(delta),
 				Preset: tp.preset,
-				Seeds:  env.seeds(),
 			}
 			if tp.isSync {
-				spec.D, spec.Delta = 1, 1
-				spec.Preset = adversary.PresetBenign
+				run.D, run.Delta = 1, 1
+				run.Preset = adversary.PresetBenign
 				// Synchronous baselines still face crashes; use the storm
 				// (which the CK row tolerates by design).
 				if f > 0 {
-					spec.Preset = adversary.PresetStandard
+					run.Preset = adversary.PresetStandard
 				}
 			}
-			specs = append(specs, spec)
+			points = append(points, Point{Run: run})
 		}
 	}
-	ms, errs := measureGossipGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	cell := 0
 	for _, tp := range table1Protos {
 		var nsX, timeY, msgY []float64

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/assemble"
 	"repro/internal/consensus"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -48,17 +49,16 @@ var table2Transports = []struct {
 func Table2(env Env, d, delta int) (*Table2Result, error) {
 	res := &Table2Result{Scale: env.Scale, D: d, Delta: delta}
 	ns := env.Scale.consensusNs()
-	var specs []ConsensusSpec
+	var points []Point
 	for _, tt := range table2Transports {
 		for _, n := range ns {
-			specs = append(specs, ConsensusSpec{
+			points = append(points, Point{Run: assemble.Run{
 				Transport: tt.kind, N: n, F: (n - 1) / 2,
 				D: sim.Time(d), Delta: sim.Time(delta),
-				Seeds: env.seeds(),
-			})
+			}})
 		}
 	}
-	ms, errs := measureConsensusGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	cell := 0
 	for _, tt := range table2Transports {
 		var nsX, timeY, msgY []float64

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/adversary"
+	"repro/internal/assemble"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -49,7 +50,7 @@ func topoFamilies() []string {
 // graphs stay connected and the measured axis is purely topological (a
 // crash disconnects a ring, which is a different experiment — see the
 // adversary sweeps for the crash axis).
-func TopologySweep(env Env, seed int64) (*TopologySweepResult, error) {
+func TopologySweep(env Env) (*TopologySweepResult, error) {
 	n := 64
 	if env.Scale == Full {
 		n = 128
@@ -58,7 +59,7 @@ func TopologySweep(env Env, seed int64) (*TopologySweepResult, error) {
 	protos := []string{"ears", "sears", "tears"}
 
 	// Mean degree is averaged over the same per-seed graph instances the
-	// measurements below actually run on (measureGossipGrid generates the
+	// measurements below actually run on (measureGrid generates the
 	// graph from the run seed, 0..Seeds-1). Graph generation is cheap next
 	// to the simulations, so it stays serial.
 	degrees := map[string]float64{}
@@ -78,17 +79,17 @@ func TopologySweep(env Env, seed int64) (*TopologySweepResult, error) {
 		degrees[family] = meanDeg
 	}
 
-	var specs []GossipSpec
+	var points []Point
 	for _, family := range topoFamilies() {
 		for _, proto := range protos {
-			specs = append(specs, GossipSpec{
-				Proto: proto, N: n, F: 0, D: 2, Delta: 2,
-				Preset: adversary.PresetStandard, Seeds: env.seeds(),
-				Topology: family,
-			})
+			points = append(points, Point{Run: assemble.Run{
+				Protocol: proto, N: n, F: 0, D: 2, Delta: 2,
+				Preset:   adversary.PresetStandard,
+				Topology: topology.Spec{Family: family},
+			}})
 		}
 	}
-	ms, errs := measureGossipGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	cell := 0
 	for _, family := range topoFamilies() {
 		for _, proto := range protos {
@@ -150,7 +151,7 @@ type NPSweepResult struct {
 }
 
 // NPSweep runs the Erdős–Rényi density sweep for ears.
-func NPSweep(env Env, seed int64) (*NPSweepResult, error) {
+func NPSweep(env Env) (*NPSweepResult, error) {
 	n := 64
 	cs := []float64{1.2, 2, 4, 8}
 	if env.Scale == Full {
@@ -160,20 +161,20 @@ func NPSweep(env Env, seed int64) (*NPSweepResult, error) {
 	res := &NPSweepResult{N: n, Cs: cs}
 	logn := math.Log(float64(n))
 	ps := make([]float64, len(cs))
-	specs := make([]GossipSpec, len(cs))
+	points := make([]Point, len(cs))
 	for i, c := range cs {
 		p := c * logn / float64(n)
 		if p > 1 {
 			p = 1
 		}
 		ps[i] = p
-		specs[i] = GossipSpec{
-			Proto: "ears", N: n, F: 0, D: 2, Delta: 2,
-			Preset: adversary.PresetStandard, Seeds: env.seeds(),
-			Topology: topology.FamilyErdosRenyi, TopoParam: p,
-		}
+		points[i] = Point{Run: assemble.Run{
+			Protocol: "ears", N: n, F: 0, D: 2, Delta: 2,
+			Preset:   adversary.PresetStandard,
+			Topology: topology.Spec{Family: topology.FamilyErdosRenyi, Param: p},
+		}}
 	}
-	ms, errs := measureGossipGrid(specs, env)
+	ms, errs := measureGrid(points, env)
 	for i, c := range cs {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("np sweep c=%.1f: %w", c, errs[i])

@@ -4,14 +4,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/topology"
 )
 
 func TestMeasureGossipWithTopology(t *testing.T) {
-	m, err := MeasureGossip(GossipSpec{
-		Proto: "ears", N: 32, F: 0, D: 1, Delta: 1, Seeds: 2,
-		Topology: topology.FamilyRing,
-	})
+	m, err := Measure(Point{Run: assemble.Run{
+		Protocol: "ears", N: 32, F: 0, D: 1, Delta: 1,
+		Topology: topology.Spec{Family: topology.FamilyRing},
+	}, Seeds: 2}, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestTopologySweepQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep generation in -short mode")
 	}
-	res, err := TopologySweep(Env{}, 1)
+	res, err := TopologySweep(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestNPSweepQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep generation in -short mode")
 	}
-	res, err := NPSweep(Env{}, 1)
+	res, err := NPSweep(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Parallel-vs-serial equivalence: the acceptance bar for the execution
 // engine is that fanning a (spec × seed) grid across workers changes
-// nothing but wall-clock time. These tests run real experiment specs —
+// nothing but wall-clock time. These tests run real experiment points —
 // a Table 1 point, a topology point and Table 2 — at workers=1 and workers=8 and
 // require identical Measurement values (and they run under -race in CI,
 // so a data race in the pool or the harness fails them too).
@@ -10,21 +10,21 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/experiments"
+	"repro/internal/topology"
 )
 
 func TestGossipParallelEqualsSerialTable1Spec(t *testing.T) {
 	// A Table 1 design point: ears at f = n/4 under the standard adversary.
-	spec := experiments.GossipSpec{
-		Proto: "ears", N: 48, F: 12, D: 2, Delta: 2, Seeds: 6,
-	}
-	spec.Workers = 1
-	serial, err := experiments.MeasureGossip(spec)
+	p := experiments.Point{Run: assemble.Run{
+		Protocol: "ears", N: 48, F: 12, D: 2, Delta: 2,
+	}, Seeds: 6}
+	serial, err := experiments.Measure(p, experiments.Env{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Workers = 8
-	parallel, err := experiments.MeasureGossip(spec)
+	parallel, err := experiments.Measure(p, experiments.Env{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,17 +36,15 @@ func TestGossipParallelEqualsSerialTable1Spec(t *testing.T) {
 func TestGossipParallelEqualsSerialTopologySpec(t *testing.T) {
 	// A topology sweep point: each seed generates its own graph instance,
 	// so this also pins graph generation inside worker goroutines.
-	spec := experiments.GossipSpec{
-		Proto: "ears", N: 48, F: 0, D: 2, Delta: 2, Seeds: 6,
-		Topology: "erdos-renyi",
-	}
-	spec.Workers = 1
-	serial, err := experiments.MeasureGossip(spec)
+	p := experiments.Point{Run: assemble.Run{
+		Protocol: "ears", N: 48, F: 0, D: 2, Delta: 2,
+		Topology: topology.Spec{Family: "erdos-renyi"},
+	}, Seeds: 6}
+	serial, err := experiments.Measure(p, experiments.Env{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Workers = 8
-	parallel, err := experiments.MeasureGossip(spec)
+	parallel, err := experiments.Measure(p, experiments.Env{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +76,11 @@ func TestExperimentParallelEqualsSerial(t *testing.T) {
 	}
 	// A whole experiment entry point (many specs on one grid): the f sweep
 	// exercises aggregation across multi-seed cells in spec order.
-	serial, err := experiments.FSweep(experiments.Env{Workers: 1}, 1)
+	serial, err := experiments.FSweep(experiments.Env{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := experiments.FSweep(experiments.Env{Workers: 8}, 1)
+	parallel, err := experiments.FSweep(experiments.Env{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

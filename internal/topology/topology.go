@@ -9,10 +9,9 @@
 //
 //   - Graph is the abstraction: vertex count, degree, neighbor iteration,
 //     uniform neighbor sampling, edge membership.
-//   - Complete is the implicit clique preserving the paper's semantics
-//     exactly (sampling is uniform on [n], self included, per Figure 2);
-//     it is the default everywhere and reproduces pre-topology results
-//     bit for bit.
+//   - The complete graph is the nil Graph: the paper's clique, in which
+//     sampling is uniform on [n], self included (Figure 2). It is the
+//     default everywhere and reproduces pre-topology results bit for bit.
 //   - Generated families (ring, torus, random-regular, erdos-renyi,
 //     watts-strogatz, barabasi-albert) are backed by a compact CSR
 //     adjacency sized for N in the hundreds of thousands, deterministic
@@ -36,13 +35,11 @@ import (
 // Implementations are immutable after construction and safe for concurrent
 // readers.
 type Graph interface {
-	// Name returns the family name ("complete", "ring", ...).
+	// Name returns the family name ("ring", "torus", ...).
 	Name() string
 	// N returns the number of vertices.
 	N() int
-	// Degree returns the size of v's sampling universe. For generated
-	// graphs this is the number of neighbors (self excluded); for Complete
-	// it is N — the paper's "uniform on [n]" universe includes the sender.
+	// Degree returns the number of v's neighbors, self excluded.
 	Degree(v int) int
 	// Neighbors calls fn for each potential target of v in ascending
 	// order, self excluded, stopping early if fn returns false.
@@ -71,7 +68,8 @@ const (
 	FamilyBarabasiAlbert = "barabasi-albert"
 )
 
-// Families lists the graph families Build accepts.
+// Families lists the graph families a run accepts. Build makes every one
+// but complete, which is the nil graph.
 func Families() []string {
 	return []string{
 		FamilyComplete, FamilyRing, FamilyTorus, FamilyRandomRegular,
@@ -82,7 +80,7 @@ func Families() []string {
 // Spec describes a graph to build. Param and Param2 are family-specific
 // knobs; zero selects the documented default:
 //
-//	complete         — no parameters
+//	complete         — the nil graph; Build rejects it
 //	ring             — no parameters
 //	torus            — Param = row count (default: largest divisor of N
 //	                   at most √N; 1, i.e. a ring, when N is prime)
@@ -118,7 +116,7 @@ func Build(s Spec) (Graph, error) {
 	r := rng.New(s.Seed).Fork(0x1090109e) // topology-private stream tag
 	switch s.Family {
 	case FamilyComplete, "":
-		return Complete(s.N), nil
+		return nil, fmt.Errorf("topology: the complete graph is the nil graph; Build makes only generated families")
 	case FamilyRing:
 		return buildRing(s.N), nil
 	case FamilyTorus:
@@ -148,57 +146,6 @@ func defaultERProb(n int) float64 {
 	}
 	return p
 }
-
-// Complete is the paper's clique, represented implicitly (no adjacency is
-// materialized, so it scales to any N). Its sampling semantics reproduce
-// the original protocols exactly: SampleNeighbor is uniform on [n] with
-// self included (Figure 2's "choose target uniformly at random"), and
-// SampleNeighbors mirrors rng.Sample over [n]. Neighbor iteration, used
-// for audience construction and broadcasts, excludes self. HasEdge is
-// always true — self-sends are deliverable, as in the unfiltered model.
-type Complete int
-
-var _ Graph = Complete(0)
-
-// Name implements Graph.
-func (Complete) Name() string { return FamilyComplete }
-
-// N implements Graph.
-func (c Complete) N() int { return int(c) }
-
-// Degree implements Graph: the sampling universe is all of [n].
-func (c Complete) Degree(int) int { return int(c) }
-
-// Neighbors implements Graph: every q ≠ v, ascending.
-func (c Complete) Neighbors(v int, fn func(q int) bool) {
-	for q := 0; q < int(c); q++ {
-		if q == v {
-			continue
-		}
-		if !fn(q) {
-			return
-		}
-	}
-}
-
-// SampleNeighbor implements Graph: uniform on [n], self included.
-func (c Complete) SampleNeighbor(_ int, r *rng.RNG) (int, bool) {
-	if c < 1 {
-		return 0, false
-	}
-	return r.Intn(int(c)), true
-}
-
-// SampleNeighbors implements Graph: k distinct uniform on [n].
-func (c Complete) SampleNeighbors(_, k int, r *rng.RNG) []int {
-	return r.Sample(int(c), k)
-}
-
-// HasEdge implements Graph.
-func (Complete) HasEdge(_, _ int) bool { return true }
-
-// Edges implements Graph.
-func (c Complete) Edges() int64 { n := int64(c); return n * (n - 1) / 2 }
 
 // Sampler draws communication targets for one vertex. A zero graph (nil)
 // selects the legacy clique semantics over [n] directly, guaranteeing the
@@ -237,22 +184,18 @@ func (s Sampler) One(r *rng.RNG) (int, bool) {
 
 // KInto draws k distinct uniform targets (all of them, permuted, if k
 // exceeds the universe) into dst, reusing its capacity: zero allocation
-// once dst has grown to the fan-out. The
-// built-in graphs (the implicit clique and every CSR-backed family) take
-// the zero-allocation path; a custom Graph implementation falls back to
-// its allocating SampleNeighbors, keeping the interface unchanged.
+// once dst has grown to the fan-out. The nil clique and every CSR-backed
+// family take the zero-allocation path; a custom Graph implementation
+// falls back to its allocating SampleNeighbors, keeping the interface
+// unchanged.
 func (s Sampler) KInto(dst []int, k int, r *rng.RNG) []int {
 	if s.g == nil {
 		return r.SampleInto(dst, s.n, k)
 	}
-	switch g := s.g.(type) {
-	case *CSR:
+	if g, ok := s.g.(*CSR); ok {
 		return g.SampleNeighborsInto(dst, s.self, k, r)
-	case Complete:
-		return r.SampleInto(dst, int(g), k)
-	default:
-		return append(dst[:0], s.g.SampleNeighbors(s.self, k, r)...)
 	}
+	return append(dst[:0], s.g.SampleNeighbors(s.self, k, r)...)
 }
 
 // Each iterates the potential targets (self excluded) in ascending order,

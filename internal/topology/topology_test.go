@@ -141,77 +141,47 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestCompleteSemantics: Complete preserves the paper's clique semantics —
-// SampleNeighbor is uniform on [n] with self included (bit-identical to
-// rng.Intn), SampleNeighbors mirrors rng.Sample, iteration excludes self,
-// HasEdge is total.
-func TestCompleteSemantics(t *testing.T) {
-	const n = 17
-	g := Complete(n)
-	if g.Degree(3) != n {
-		t.Fatalf("Degree = %d, want %d", g.Degree(3), n)
+// TestNilSamplerIsTheClique: a nil-graph Sampler keeps the paper's clique
+// semantics — the universe is all of [n], One is bit-identical to
+// rng.Intn and KInto to rng.Sample (self included, per Figure 2), and Each
+// visits every other vertex in ascending order — the property that makes
+// the default and Topology:"complete" reproduce pre-topology runs exactly.
+func TestNilSamplerIsTheClique(t *testing.T) {
+	const n, self = 23, 7
+	s := NewSampler(self, n, nil)
+	if s.Degree() != n {
+		t.Fatalf("Degree = %d, want %d", s.Degree(), n)
 	}
-	r1, r2 := rng.New(9), rng.New(9)
+	r1, r2 := rng.New(5), rng.New(5)
 	for i := 0; i < 100; i++ {
-		q, ok := g.SampleNeighbor(3, r1)
+		q, ok := s.One(r1)
 		if !ok || q != r2.Intn(n) {
-			t.Fatal("SampleNeighbor diverges from legacy rng.Intn stream")
+			t.Fatal("One diverges from the legacy rng.Intn stream")
 		}
 	}
-	ks := g.SampleNeighbors(3, 5, r1)
-	ws := r2.Sample(n, 5)
+	ks, ws := s.KInto(nil, 6, r1), r2.Sample(n, 6)
+	if len(ks) != len(ws) {
+		t.Fatalf("KInto drew %d targets, rng.Sample %d", len(ks), len(ws))
+	}
 	for i := range ks {
 		if ks[i] != ws[i] {
-			t.Fatal("SampleNeighbors diverges from legacy rng.Sample stream")
+			t.Fatal("KInto diverges from the legacy rng.Sample stream")
 		}
 	}
-	count := 0
-	g.Neighbors(5, func(q int) bool {
-		if q == 5 {
-			t.Fatal("Neighbors iterated self")
+	var each []int
+	s.Each(func(q int) bool { each = append(each, q); return true })
+	if len(each) != n-1 {
+		t.Fatalf("Each visited %d, want %d", len(each), n-1)
+	}
+	want := 0
+	for _, q := range each {
+		if want == self {
+			want++
 		}
-		count++
-		return true
-	})
-	if count != n-1 {
-		t.Fatalf("Neighbors visited %d, want %d", count, n-1)
-	}
-	if !g.HasEdge(2, 2) || !g.HasEdge(0, 16) {
-		t.Fatal("Complete.HasEdge must be total (self-sends deliverable)")
-	}
-}
-
-// TestSamplerLegacyEquivalence: a nil-graph Sampler and a Complete-graph
-// Sampler draw identical streams — the property that makes the default
-// and Topology:"complete" reproduce pre-topology runs exactly.
-func TestSamplerLegacyEquivalence(t *testing.T) {
-	const n = 23
-	nilS := NewSampler(7, n, nil)
-	cmpS := NewSampler(7, n, Complete(n))
-	r1, r2 := rng.New(5), rng.New(5)
-	for i := 0; i < 50; i++ {
-		a, okA := nilS.One(r1)
-		b, okB := cmpS.One(r2)
-		if a != b || okA != okB {
-			t.Fatal("One diverges between nil and Complete samplers")
+		if q != want {
+			t.Fatalf("Each visited %v, want 0..%d ascending without %d", each, n-1, self)
 		}
-	}
-	ka, kb := nilS.KInto(nil, 6, r1), cmpS.KInto(nil, 6, r2)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			t.Fatal("KInto diverges between nil and Complete samplers")
-		}
-	}
-	var ea, eb []int
-	nilS.Each(func(q int) bool { ea = append(ea, q); return true })
-	cmpS.Each(func(q int) bool { eb = append(eb, q); return true })
-	if len(ea) != len(eb) {
-		t.Fatal("Each visits different target sets")
-	}
-	for i := range ea {
-		if ea[i] != eb[i] {
-			t.Fatal("Each order diverges between nil and Complete samplers")
-		}
+		want++
 	}
 }
 
@@ -249,7 +219,8 @@ func TestTorusRows(t *testing.T) {
 	}
 }
 
-// TestBuildErrors: unknown families and bad parameters are rejected.
+// TestBuildErrors: unknown families, bad parameters and the complete graph
+// (which is the nil graph, not a built one) are rejected.
 func TestBuildErrors(t *testing.T) {
 	if _, err := Build(Spec{Family: "moebius", N: 8}); err == nil {
 		t.Fatal("unknown family accepted")
@@ -257,8 +228,13 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(Spec{Family: FamilyErdosRenyi, N: 8, Param: 1.5}); err == nil {
 		t.Fatal("erdos-renyi p > 1 accepted")
 	}
-	if _, err := Build(Spec{Family: FamilyComplete, N: 0}); err == nil {
+	if _, err := Build(Spec{Family: FamilyRing, N: 0}); err == nil {
 		t.Fatal("N = 0 accepted")
+	}
+	for _, family := range []string{FamilyComplete, ""} {
+		if g, err := Build(Spec{Family: family, N: 8}); err == nil {
+			t.Fatalf("family %q built %v; the complete graph is the nil graph", family, g)
+		}
 	}
 }
 

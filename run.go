@@ -209,11 +209,31 @@ func RunMany[S Spec](ctx context.Context, specs []S, opts ...Option) (results []
 	return results, errs
 }
 
+// simulate is the step both engines share: it assembles run, builds its
+// world, attaches the run's observers (extra first) and runs it. A nil
+// world means the run could not be built, and err says why; otherwise err
+// is the run's own outcome.
+func simulate(run assemble.Run, o runOptions, extra Tracer) (assemble.Pieces, *sim.World, sim.Result, error) {
+	pc, err := assemble.Build(run)
+	if err != nil {
+		return pc, nil, sim.Result{}, err
+	}
+	w, err := sim.NewWorld(pc.Config, pc.Nodes, pc.Adversary)
+	if err != nil {
+		return pc, nil, sim.Result{}, err
+	}
+	if tracer := o.observers(extra); tracer != nil {
+		w.SetTracer(tracer)
+	}
+	res, err := w.Run(pc.Evaluator)
+	return pc, w, res, err
+}
+
 // runGossipSpec is the gossip engine behind Run.
 func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 	spec = spec.withDefaults()
 	spec.Tuning.Lean = spec.Tuning.Lean || o.lean
-	pc, err := assemble.Build(assemble.Run{
+	run := assemble.Run{
 		Protocol: spec.Protocol,
 		N:        spec.N, F: spec.F,
 		D: Time(spec.D), Delta: Time(spec.Delta),
@@ -224,13 +244,6 @@ func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 		},
 		Preset: spec.Adversary,
 		Shards: o.shards, ShardWorkers: o.workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	w, err := sim.NewWorld(pc.Config, pc.Nodes, pc.Adversary)
-	if err != nil {
-		return nil, err
 	}
 	var tl *telemetry.Timeline
 	var timeline Tracer
@@ -238,10 +251,10 @@ func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 		tl = telemetry.NewTimeline(spec.N, 160)
 		timeline = tl
 	}
-	if tracer := o.observers(timeline); tracer != nil {
-		w.SetTracer(tracer)
+	pc, w, res, runErr := simulate(run, o, timeline)
+	if w == nil {
+		return nil, runErr
 	}
-	res, runErr := w.Run(pc.Evaluator)
 	out := &GossipResult{
 		Completed:       res.Completed,
 		TimeSteps:       int64(res.TimeComplexity),
@@ -281,7 +294,7 @@ func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 func runConsensusSpec(spec ConsensusSpec, o runOptions) (*ConsensusResult, error) {
 	spec = spec.withDefaults()
 	spec.Tuning.Lean = spec.Tuning.Lean || o.lean
-	pc, err := assemble.Build(assemble.Run{
+	pc, w, res, runErr := simulate(assemble.Run{
 		Transport: consensus.TransportKind(spec.Transport),
 		N:         spec.N, F: spec.F,
 		D: Time(spec.D), Delta: Time(spec.Delta),
@@ -293,18 +306,10 @@ func runConsensusSpec(spec ConsensusSpec, o runOptions) (*ConsensusResult, error
 		Preset: spec.Adversary,
 		Shards: o.shards, ShardWorkers: o.workers,
 		LocalCoin: spec.LocalCoin, Inputs: spec.Inputs,
-	})
-	if err != nil {
-		return nil, err
+	}, o, nil)
+	if w == nil {
+		return nil, runErr
 	}
-	w, err := sim.NewWorld(pc.Config, pc.Nodes, pc.Adversary)
-	if err != nil {
-		return nil, err
-	}
-	if tracer := o.observers(nil); tracer != nil {
-		w.SetTracer(tracer)
-	}
-	res, runErr := w.Run(pc.Evaluator)
 	out := &ConsensusResult{
 		Completed:    res.Completed,
 		TimeSteps:    int64(res.CompletedAt),
