@@ -141,32 +141,15 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestNilSamplerIsTheClique: a nil-graph Sampler keeps the paper's clique
-// semantics — the universe is all of [n], One is bit-identical to
-// rng.Intn and KInto to rng.Sample (self included, per Figure 2), and Each
-// visits every other vertex in ascending order — the property that makes
-// the default and Topology:"complete" reproduce pre-topology runs exactly.
-func TestNilSamplerIsTheClique(t *testing.T) {
-	const n, self = 23, 7
+// TestCompleteSemantics: the complete graph is the nil Graph, and a
+// nil-graph Sampler keeps the paper's clique semantics — the sampling
+// universe is all of [n], self included (Figure 2), and Each visits every
+// other vertex in ascending order, self excluded.
+func TestCompleteSemantics(t *testing.T) {
+	const n, self = 17, 5
 	s := NewSampler(self, n, nil)
 	if s.Degree() != n {
 		t.Fatalf("Degree = %d, want %d", s.Degree(), n)
-	}
-	r1, r2 := rng.New(5), rng.New(5)
-	for i := 0; i < 100; i++ {
-		q, ok := s.One(r1)
-		if !ok || q != r2.Intn(n) {
-			t.Fatal("One diverges from the legacy rng.Intn stream")
-		}
-	}
-	ks, ws := s.KInto(nil, 6, r1), r2.Sample(n, 6)
-	if len(ks) != len(ws) {
-		t.Fatalf("KInto drew %d targets, rng.Sample %d", len(ks), len(ws))
-	}
-	for i := range ks {
-		if ks[i] != ws[i] {
-			t.Fatal("KInto diverges from the legacy rng.Sample stream")
-		}
 	}
 	var each []int
 	s.Each(func(q int) bool { each = append(each, q); return true })
@@ -182,6 +165,31 @@ func TestNilSamplerIsTheClique(t *testing.T) {
 			t.Fatalf("Each visited %v, want 0..%d ascending without %d", each, n-1, self)
 		}
 		want++
+	}
+}
+
+// TestSamplerLegacyEquivalence: a nil-graph Sampler draws the legacy
+// streams — One is bit-identical to rng.Intn and KInto to rng.Sample over
+// [n] — the property that makes the default and Topology:"complete"
+// reproduce pre-topology runs exactly.
+func TestSamplerLegacyEquivalence(t *testing.T) {
+	const n = 23
+	s := NewSampler(7, n, nil)
+	r1, r2 := rng.New(5), rng.New(5)
+	for i := 0; i < 100; i++ {
+		q, ok := s.One(r1)
+		if !ok || q != r2.Intn(n) {
+			t.Fatal("One diverges from the legacy rng.Intn stream")
+		}
+	}
+	ks, ws := s.KInto(nil, 6, r1), r2.Sample(n, 6)
+	if len(ks) != len(ws) {
+		t.Fatalf("KInto drew %d targets, rng.Sample %d", len(ks), len(ws))
+	}
+	for i := range ks {
+		if ks[i] != ws[i] {
+			t.Fatal("KInto diverges from the legacy rng.Sample stream")
+		}
 	}
 }
 
