@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -14,6 +15,9 @@ import (
 // The informed-list matrix is the simulator's largest recurring allocation
 // — Θ(n²) bits snapshotted into every ears/sears payload — so the pooled
 // mode is what makes large-n runs feasible.
+// Unions report whether they changed anything and defer the copy-on-write
+// copy to the first word that gains a bit, so a union that brings no news
+// reads the other matrix and writes nothing.
 type Matrix struct {
 	n      int
 	stride int // words per row
@@ -120,16 +124,54 @@ func (m *Matrix) Set(row, col int) {
 	m.words[row*m.stride+col/wordBits] |= 1 << (uint(col) % wordBits)
 }
 
-// UnionWith ORs every bit of other into m. Dimensions must match; a nil or
-// mismatched other is ignored.
-func (m *Matrix) UnionWith(other *Matrix) {
+// UnionWith ORs every bit of other into m and reports whether m changed.
+// Dimensions must match; a nil or mismatched other is ignored. A snapshot
+// alias of m is copied only when some word gains a bit, so a union that
+// brings nothing new leaves m's storage shared.
+func (m *Matrix) UnionWith(other *Matrix) bool {
 	if other == nil || other.n != m.n {
-		return
+		return false
+	}
+	return m.orWords(other, 0, len(m.words))
+}
+
+// UnionRows ORs the given rows of other into m and reports whether m
+// changed; like UnionWith, it copies m's storage only on the first change.
+func (m *Matrix) UnionRows(other *Matrix, rows *Set) bool {
+	if other == nil || other.n != m.n || rows == nil {
+		return false
+	}
+	changed := false
+	rows.ForEach(func(q int) bool {
+		if q < m.n && m.orWords(other, q*m.stride, (q+1)*m.stride) {
+			changed = true
+		}
+		return true
+	})
+	return changed
+}
+
+// orWords ORs other's words [lo, hi) into m. It scans read-only up to the
+// first word that gains a bit, takes ownership of m's storage there, and
+// ORs the rest.
+func (m *Matrix) orWords(other *Matrix, lo, hi int) bool {
+	src := other.words[lo:hi]
+	dst := m.words[lo:hi]
+	i := 0
+	for ; i < len(src); i++ {
+		if src[i]&^dst[i] != 0 {
+			break
+		}
+	}
+	if i == len(src) {
+		return false
 	}
 	m.ensureOwned()
-	for i := range m.words {
-		m.words[i] |= other.words[i]
+	dst = m.words[lo:hi]
+	for ; i < len(src); i++ {
+		dst[i] |= src[i]
 	}
+	return true
 }
 
 // RowUnionSet ORs the bits of set into the given row. Used by gossip: after
@@ -175,18 +217,24 @@ func (m *Matrix) RowContainsSet(row int, set *Set) bool {
 }
 
 // Count returns the total number of set bits.
+func (m *Matrix) Count() int { return m.CountUpTo(math.MaxInt) }
+
+// CountUpTo returns the number of set bits when it is below limit, and
+// otherwise some value ≥ limit: the scan stops once limit bits are seen.
 //
-// Count stays out of line so that its loop, the hottest in ears_clique
-// (GossipPayload.SizeBytes runs it over n² bits per message), keeps one
-// placement. Inlined, the loop moved with every size change in the code
-// linked before its caller, and a 32-byte shift of that code made
-// ears_clique 7 % slower.
+// CountUpTo stays out of line so that its loop, the one popcount loop of
+// Matrix, keeps one placement. Inlined, the loop moved with every size
+// change in the code linked before its caller, and a 32-byte shift of that
+// code made ears_clique 7 % slower.
 //
 //go:noinline
-func (m *Matrix) Count() int {
+func (m *Matrix) CountUpTo(limit int) int {
 	c := 0
 	for _, w := range m.words {
 		c += bits.OnesCount64(w)
+		if c >= limit {
+			break
+		}
 	}
 	return c
 }

@@ -101,8 +101,7 @@ func (e *earsNode) Step(now sim.Time, inbox []sim.Message, out *sim.Outbox) {
 		if e.count != before {
 			vGrew = true
 		}
-		if pl.Informed.m != nil {
-			e.inf.union(pl.Informed.m)
+		if pl.Informed.m != nil && e.inf.union(pl.Informed.m) {
 			iGrew = true
 		}
 	}
@@ -193,11 +192,20 @@ func (e *earsNode) Asleep() bool { return e.Quiescent() }
 // whose distant rows depend on hearsay can transmit forever after every
 // potential informant has gone to sleep — a livelock the scenario fuzzer
 // found on Erdős–Rényi graphs under skewed schedules.
+//
+// Once the process knows every rumor on the complete graph (saturated), a
+// covered row q holds V = [n], so it is all ones and no union or send can
+// change it. Unions then touch only the rows in L(p), and a send to a
+// covered row records nothing. The rule is exact: V never shrinks, so the
+// flag never clears, and a row leaves L(p) only when it contains V. On a
+// sparse topology rows outside the obligation can be partial, so the flag
+// stays off there.
 type informedList struct {
 	n         int
 	m         *bitset.Matrix
 	obligated *bitset.Set // rows L(p) may range over; nil = all of [n]
 	uncovered *bitset.Set // L(p): obligated rows q with V ⊄ I-row(q)
+	saturated bool        // V = [n] and obligated == nil: rows outside L(p) are all ones
 	scratch   []int32     // reusable row buffer for refresh
 }
 
@@ -224,12 +232,19 @@ func newInformedList(n int, pool *Pool, obligated *bitset.Set) *informedList {
 	return &informedList{n: n, m: m, obligated: obligated, uncovered: unc}
 }
 
-func (il *informedList) union(other *bitset.Matrix) { il.m.UnionWith(other) }
+// union absorbs a received I(p) and reports whether it added a pair.
+func (il *informedList) union(other *bitset.Matrix) bool {
+	if il.saturated {
+		return il.m.UnionRows(other, il.uncovered)
+	}
+	return il.m.UnionWith(other)
+}
 
 // refresh recomputes L(p) after message absorption.
 func (il *informedList) refresh(v *bitset.Set, vGrew, iGrew bool) {
 	switch {
 	case vGrew:
+		il.saturated = il.obligated == nil && v.Full()
 		il.uncovered.Clear()
 		if il.obligated != nil {
 			il.obligated.ForEach(func(q int) bool {
@@ -257,7 +272,11 @@ func (il *informedList) refresh(v *bitset.Set, vGrew, iGrew bool) {
 
 // markSent records (r, q) for every r ∈ v after a send to q (Figure 2
 // lines 19–20), which by construction covers row q.
+// A covered row of a saturated list is already all ones.
 func (il *informedList) markSent(q int, v *bitset.Set) {
+	if il.saturated && !il.uncovered.Test(q) {
+		return
+	}
 	il.m.RowUnionSet(q, v)
 	il.uncovered.Remove(q)
 }
@@ -270,6 +289,7 @@ func (il *informedList) clone() *informedList {
 		n: il.n, m: il.m.Clone(),
 		obligated: il.obligated, // immutable after construction
 		uncovered: il.uncovered.Clone(),
+		saturated: il.saturated,
 	}
 }
 
@@ -286,9 +306,10 @@ func (s informedSnapshot) sizeBytes() int {
 	}
 	n := s.m.Universe()
 	dense := (n*n + 7) / 8
-	sparse := 8 * s.m.Count()
-	if sparse < dense {
-		return sparse
+	// 8·c < dense exactly when c < ceil(dense/8), so counting stops there.
+	limit := (dense + 7) / 8
+	if c := s.m.CountUpTo(limit); c < limit {
+		return 8 * c
 	}
 	return dense
 }
