@@ -101,7 +101,7 @@ func (e *earsNode) Step(now sim.Time, inbox []sim.Message, out *sim.Outbox) {
 		if e.count != before {
 			vGrew = true
 		}
-		if pl.Informed.m != nil && e.inf.union(pl.Informed.m) {
+		if pl.Informed.m != nil && e.inf.union(pl.Informed.m, vGrew) {
 			iGrew = true
 		}
 	}
@@ -193,19 +193,21 @@ func (e *earsNode) Asleep() bool { return e.Quiescent() }
 // potential informant has gone to sleep — a livelock the scenario fuzzer
 // found on Erdős–Rényi graphs under skewed schedules.
 //
-// Once the process knows every rumor on the complete graph (saturated), a
-// covered row q holds V = [n], so it is all ones and no union or send can
-// change it. Unions then touch only the rows in L(p), and a send to a
-// covered row records nothing. The rule is exact: V never shrinks, so the
-// flag never clears, and a row leaves L(p) only when it contains V. On a
-// sparse topology rows outside the obligation can be partial, so the flag
-// stays off there.
+// Covered rows are skipped. Every pair (r, q) in any process's I holds a
+// rumor r of that process's V: I starts empty, a send adds V to a row, and
+// a union adds a sender's I after its V was absorbed from the same
+// payload. So while V has not grown since the last refresh, a received
+// row q is a subset of V, and V is a subset of every obligated row outside
+// L(p). Unions then touch only the rows in L(p), and a send to a covered
+// row records nothing. The rule is exact and needs no state: a step that
+// learns a rumor unions in full from that message on, and refresh
+// recomputes L(p). On a sparse topology rows outside the obligation are
+// not tracked, so unions stay flat there.
 type informedList struct {
 	n         int
 	m         *bitset.Matrix
 	obligated *bitset.Set // rows L(p) may range over; nil = all of [n]
 	uncovered *bitset.Set // L(p): obligated rows q with V ⊄ I-row(q)
-	saturated bool        // V = [n] and obligated == nil: rows outside L(p) are all ones
 	scratch   []int32     // reusable row buffer for refresh
 }
 
@@ -233,8 +235,9 @@ func newInformedList(n int, pool *Pool, obligated *bitset.Set) *informedList {
 }
 
 // union absorbs a received I(p) and reports whether it added a pair.
-func (il *informedList) union(other *bitset.Matrix) bool {
-	if il.saturated {
+// vGrew reports whether V has grown since the last refresh.
+func (il *informedList) union(other *bitset.Matrix, vGrew bool) bool {
+	if !vGrew && il.obligated == nil {
 		return il.m.UnionRows(other, il.uncovered)
 	}
 	return il.m.UnionWith(other)
@@ -244,7 +247,6 @@ func (il *informedList) union(other *bitset.Matrix) bool {
 func (il *informedList) refresh(v *bitset.Set, vGrew, iGrew bool) {
 	switch {
 	case vGrew:
-		il.saturated = il.obligated == nil && v.Full()
 		il.uncovered.Clear()
 		if il.obligated != nil {
 			il.obligated.ForEach(func(q int) bool {
@@ -272,9 +274,11 @@ func (il *informedList) refresh(v *bitset.Set, vGrew, iGrew bool) {
 
 // markSent records (r, q) for every r ∈ v after a send to q (Figure 2
 // lines 19–20), which by construction covers row q.
-// A covered row of a saturated list is already all ones.
+// Targets are obligated rows (every row on the clique, a neighbor on a
+// topology), so a row outside L(p) is covered: it contains V already and
+// records nothing.
 func (il *informedList) markSent(q int, v *bitset.Set) {
-	if il.saturated && !il.uncovered.Test(q) {
+	if !il.uncovered.Test(q) {
 		return
 	}
 	il.m.RowUnionSet(q, v)
@@ -289,7 +293,6 @@ func (il *informedList) clone() *informedList {
 		n: il.n, m: il.m.Clone(),
 		obligated: il.obligated, // immutable after construction
 		uncovered: il.uncovered.Clone(),
-		saturated: il.saturated,
 	}
 }
 
