@@ -75,6 +75,10 @@ func newTransportFactory(kind TransportKind, id sim.ProcID, p core.Params) (tran
 		// that invariant here rather than inheriting whatever the caller
 		// put in the tuning parameters.
 		p.Pool, p.NoPool = nil, true
+		// They also run lean: consensus reads only an embedded node's
+		// rumor count (contributors), never its per-rumor acquisition
+		// times, so the Θ(n) time arrays per node would be dead weight.
+		p.Lean = true
 		return func(_ int, r *rng.RNG) transport {
 			return &protocolTransport{node: proto.NewNode(id, p, r)}
 		}, nil

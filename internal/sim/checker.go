@@ -94,16 +94,29 @@ const (
 	fnvPrime64  = 0x100000001b3
 )
 
+// fnvPrimePow[k] is fnvPrime64^k: k FNV-1a rounds over zero bytes, which
+// leave the xor step a no-op, are one multiplication by it.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
+
 // fold mixes one 64-bit word into the running digest, byte by byte
 // (FNV-1a), keeping the fingerprint sensitive to byte order and position.
+// Once the word's remaining high bytes are all zero, their rounds are
+// folded in one multiplication, with the same result.
 func (d *DigestTracer) fold(v uint64) {
 	h := d.h
-	for i := 0; i < 8; i++ {
+	i := 0
+	for ; v != 0; i++ {
 		h ^= v & 0xff
 		h *= fnvPrime64
 		v >>= 8
 	}
-	d.h = h
+	d.h = h * fnvPrimePow[8-i]
 }
 
 func (d *DigestTracer) event(kind EventKind, t Time, proc, peer ProcID, extra Time) {

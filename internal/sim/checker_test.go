@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -261,4 +262,33 @@ func (a checkerTestAdv) Crashes(t Time, _ View, buf []ProcID) []ProcID {
 		buf = append(buf, 0, 1)
 	}
 	return buf
+}
+
+// TestDigestFoldMatchesBytewise pins DigestTracer.fold against the plain
+// byte-by-byte FNV-1a loop, on random words with random bytes zeroed, so
+// the zero-byte shortcut can never move a digest.
+func TestDigestFoldMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	d := NewDigestTracer()
+	want := uint64(fnvOffset64)
+	for i := 0; i < 200000; i++ {
+		v := rng.Uint64()
+		for b := 0; b < 8; b++ {
+			if rng.Intn(2) == 0 {
+				v &^= 0xff << (8 * b)
+			}
+		}
+		if i%7 == 0 {
+			v >>= 8 * uint(rng.Intn(9)) // every count of zero high bytes, 0 itself included
+		}
+		d.fold(v)
+		for b := 0; b < 8; b++ {
+			want ^= v & 0xff
+			want *= fnvPrime64
+			v >>= 8
+		}
+		if d.Sum() != want {
+			t.Fatalf("word %d: fold gives %#x, byte-wise FNV-1a %#x", i, d.Sum(), want)
+		}
+	}
 }

@@ -41,6 +41,15 @@ func runWorld(t *testing.T, r assemble.Run, shards int) kernelRun {
 	w.SetTracer(dig)
 	res, runErr := w.Run(pc.Evaluator)
 	m := w.Metrics()
+	// Conservation: every sent message was delivered or is still queued
+	// (to a crashed process, or at a timeout).
+	delivered := int64(0)
+	for _, d := range m.DeliveredTo {
+		delivered += d
+	}
+	if pending := w.ArenaStats().PendingMessages; res.Messages != delivered+pending {
+		t.Fatalf("shards=%d: %d messages sent, %d delivered + %d pending", shards, res.Messages, delivered, pending)
+	}
 	return kernelRun{dig.Sum(), dig.Events(), res, runErr != nil, m.DeliveredTo, m.SentBy, m.Steps}
 }
 

@@ -5,35 +5,59 @@ package sim
 // enough that a mostly-drained destination does not pin much memory.
 const msgBlockCap = 32
 
-// msgBlock is a fixed-capacity segment of one destination's queue.
+// inlineSlots is the number of messages a destination's record holds
+// itself, before its queue spills into blocks.
+const inlineSlots = 4
+
+// msgBlock is a fixed-capacity segment of one destination's queue, or of
+// the staged sends of one time step.
 type msgBlock struct {
 	next *msgBlock
 	n    int
 	msgs [msgBlockCap]Message
 }
 
-// mailbox holds every undelivered message of a world as per-destination
-// FIFO chains of fixed-size blocks drawn from one shared free list. It
-// replaces the per-destination []Message queues: blocks emptied by a
-// delivery are recycled immediately (with their payload references
-// cleared), so steady-state traffic allocates nothing and delivered
-// payloads become collectable (or poolable) the moment they are consumed
-// instead of lingering in slice slack. Like the world that owns it, a
-// mailbox is single-goroutine.
+// boxRec is one destination's queue: its first inlineSlots messages in
+// the record itself, the rest in a chain of blocks whose every block but
+// the tail is full. The chain is non-nil exactly when n > inlineSlots.
+type boxRec struct {
+	n          int32
+	head, tail *msgBlock
+	inline     [inlineSlots]Message
+}
+
+// mailbox holds every undelivered message of a world, laid out for memory
+// locality: one record per destination, holding a short queue inline and
+// a longer one in fixed-size blocks from one shared free list. Blocks
+// emptied by a delivery are recycled at once (with their payload
+// references cleared), so steady-state traffic allocates nothing and
+// delivered payloads become collectable (or poolable) the moment they are
+// consumed.
+//
+// Sends are not written to their destination when made. enqueue stages
+// them in send order, in blocks from the same free list, and flush, called
+// once the time step's last process has stepped, moves them to their
+// queues in destination order (a stable counting sort), so the step's
+// writes walk the records in address order instead of jumping between
+// random destinations. Deferring is invisible: every delay is at least 1,
+// so no message sent at t is deliverable at t, and nothing reads a queue
+// between a step's sends and the end of the step. Like the world that owns
+// it, a mailbox is single-goroutine.
 type mailbox struct {
-	heads  []*msgBlock
-	tails  []*msgBlock
-	counts []int32
-	lo     int // first destination id this mailbox serves (sharded worlds)
-	free   *msgBlock
+	recs []boxRec
+	lo   int // first destination id this mailbox serves (sharded worlds)
+	free *msgBlock
+
+	staging []*msgBlock // this step's sends, in send order
+	staged  int         // messages in staging
+	order   []int32     // flush scratch: staged indices in destination order
+	buckets []int32     // flush scratch: counting-sort bucket offsets
 
 	allocated int        // blocks ever created (diagnostics)
 	freeN     int        // blocks currently on the free list
 	pending   int64      // undelivered messages across all destinations
 	peak      int64      // high-water mark of pending
 	slab      []msgBlock // fresh blocks are carved from slabs
-
-	scratch []Message // kept-messages buffer reused across drains
 }
 
 // blockSlab is the number of blocks allocated per slab.
@@ -48,9 +72,7 @@ func (mb *mailbox) init(n int) { mb.initRange(0, n) }
 // O(n), not O(shards·n).
 func (mb *mailbox) initRange(lo, hi int) {
 	mb.lo = lo
-	mb.heads = make([]*msgBlock, hi-lo)
-	mb.tails = make([]*msgBlock, hi-lo)
-	mb.counts = make([]int32, hi-lo)
+	mb.recs = make([]boxRec, hi-lo)
 }
 
 func (mb *mailbox) getBlock() *msgBlock {
@@ -73,110 +95,168 @@ func (mb *mailbox) getBlock() *msgBlock {
 // the GC and the snapshot pools are not pinned by dead queue slack) and
 // pushes it on the free list.
 func (mb *mailbox) putBlock(b *msgBlock) {
-	for i := 0; i < b.n; i++ {
-		b.msgs[i] = Message{}
-	}
+	clear(b.msgs[:b.n])
 	b.n = 0
 	b.next = mb.free
 	mb.free = b
 	mb.freeN++
 }
 
-// enqueue appends m to its destination's queue.
+// enqueue stages m, which joins its destination's queue at the next flush.
 func (mb *mailbox) enqueue(m Message) {
-	to := int(m.To) - mb.lo
-	t := mb.tails[to]
-	if t == nil || t.n == msgBlockCap {
-		nb := mb.getBlock()
-		if t == nil {
-			mb.heads[to] = nb
-		} else {
-			t.next = nb
-		}
-		mb.tails[to] = nb
-		t = nb
+	i := mb.staged % msgBlockCap
+	if i == 0 {
+		mb.staging = append(mb.staging, mb.getBlock())
 	}
-	t.msgs[t.n] = m
-	t.n++
-	mb.counts[to]++
+	b := mb.staging[len(mb.staging)-1]
+	b.msgs[i] = m
+	b.n = i + 1
+	mb.staged++
 	mb.pending++
 	if mb.pending > mb.peak {
 		mb.peak = mb.pending
 	}
 }
 
-// count returns the number of undelivered messages destined to p.
-func (mb *mailbox) count(p int) int { return int(mb.counts[p-mb.lo]) }
+// flush appends every staged message to its destination's queue. A
+// stable counting sort on the destination's high bits, with about one
+// bucket per staged message, orders the appends by address in O(staged)
+// time while keeping each destination's messages in send order.
+func (mb *mailbox) flush() {
+	if mb.staged == 0 {
+		return
+	}
+	shift := 0
+	for len(mb.recs)>>shift > mb.staged {
+		shift++
+	}
+	nb := (len(mb.recs)-1)>>shift + 2
+	if cap(mb.buckets) < nb {
+		mb.buckets = make([]int32, nb)
+	}
+	start := mb.buckets[:nb]
+	clear(start)
+	for _, b := range mb.staging {
+		for i := 0; i < b.n; i++ {
+			start[(int(b.msgs[i].To)-mb.lo)>>shift+1]++
+		}
+	}
+	for k := 1; k < nb; k++ {
+		start[k] += start[k-1]
+	}
+	if cap(mb.order) < mb.staged {
+		mb.order = make([]int32, mb.staged)
+	}
+	order := mb.order[:mb.staged]
+	j := int32(0)
+	for _, b := range mb.staging {
+		for i := 0; i < b.n; i++ {
+			k := (int(b.msgs[i].To) - mb.lo) >> shift
+			order[start[k]] = j
+			start[k]++
+			j++
+		}
+	}
+	for _, j := range order {
+		mb.push(&mb.staging[j/msgBlockCap].msgs[j%msgBlockCap])
+	}
+	for _, b := range mb.staging {
+		mb.putBlock(b)
+	}
+	mb.staging = mb.staging[:0]
+	mb.staged = 0
+}
 
-// drain appends every message for p whose ReadyAt has arrived to inbox in
-// queue order, keeps the not-yet-ready messages in order, recycles every
-// block the kept messages no longer need, and returns the extended inbox.
+// push appends m to its destination's queue.
+func (mb *mailbox) push(m *Message) {
+	r := &mb.recs[int(m.To)-mb.lo]
+	if r.n < inlineSlots {
+		r.inline[r.n] = *m
+		r.n++
+		return
+	}
+	t := r.tail
+	if t == nil || t.n == msgBlockCap {
+		nb := mb.getBlock()
+		if t == nil {
+			r.head = nb
+		} else {
+			t.next = nb
+		}
+		r.tail = nb
+		t = nb
+	}
+	t.msgs[t.n] = *m
+	t.n++
+	r.n++
+}
+
+// count returns the number of queued messages destined to p.
+func (mb *mailbox) count(p int) int { return int(mb.recs[p-mb.lo].n) }
+
+// drain appends every queued message for p whose ReadyAt has arrived to
+// inbox in queue order, compacts the not-yet-ready messages in place and
+// in order, recycles every block they no longer need, and returns the
+// extended inbox.
 func (mb *mailbox) drain(p int, now Time, inbox []Message) []Message {
-	p -= mb.lo
-	if mb.counts[p] == 0 {
+	r := &mb.recs[p-mb.lo]
+	n := int(r.n)
+	if n == 0 {
 		return inbox
 	}
-	before := mb.counts[p]
-	keep := mb.scratch[:0]
-	for b := mb.heads[p]; b != nil; b = b.next {
-		for i := 0; i < b.n; i++ {
-			if b.msgs[i].ReadyAt <= now {
-				inbox = append(inbox, b.msgs[i])
-			} else {
-				keep = append(keep, b.msgs[i])
-			}
+	in := min(n, inlineSlots)
+	kept := 0
+	for i := 0; i < in; i++ {
+		if r.inline[i].ReadyAt <= now {
+			inbox = append(inbox, r.inline[i])
+		} else {
+			r.inline[kept] = r.inline[i]
+			kept++
 		}
 	}
-
-	if len(keep) == 0 {
-		for b := mb.heads[p]; b != nil; {
-			next := b.next
-			mb.putBlock(b)
-			b = next
+	if r.head != nil {
+		// Kept messages move forward: into free inline slots, then into the
+		// chain from its head. The write position never passes the read
+		// position, so the compaction needs no buffer.
+		wb, wi := r.head, 0
+		for b := r.head; b != nil; b = b.next {
+			for i := 0; i < b.n; i++ {
+				m := &b.msgs[i]
+				switch {
+				case m.ReadyAt <= now:
+					inbox = append(inbox, *m)
+					continue
+				case kept < inlineSlots:
+					r.inline[kept] = *m
+				default:
+					if wi == msgBlockCap {
+						wb, wi = wb.next, 0
+					}
+					wb.msgs[wi] = *m
+					wi++
+				}
+				kept++
+			}
 		}
-		mb.heads[p], mb.tails[p] = nil, nil
-		mb.counts[p] = 0
-	} else {
-		// Rewrite the kept messages densely into the existing chain. The
-		// chain's capacity is at least the original message count ≥ len(keep),
-		// so the cursor never runs past the tail.
-		cur := mb.heads[p]
-		idx := 0
-		for {
-			nn := len(keep) - idx
-			if nn > msgBlockCap {
-				nn = msgBlockCap
-			}
-			copy(cur.msgs[:nn], keep[idx:idx+nn])
-			for i := nn; i < cur.n; i++ {
-				cur.msgs[i] = Message{} // clear delivered slack
-			}
-			cur.n = nn
-			idx += nn
-			if idx == len(keep) {
-				break
-			}
-			cur = cur.next
+		rest := r.head
+		if kept > inlineSlots {
+			clear(wb.msgs[wi:wb.n])
+			wb.n = wi
+			rest, wb.next = wb.next, nil
+			r.tail = wb
+		} else {
+			r.head, r.tail = nil, nil
 		}
-		rest := cur.next
-		cur.next = nil
-		mb.tails[p] = cur
 		for rest != nil {
 			next := rest.next
 			mb.putBlock(rest)
 			rest = next
 		}
-		mb.counts[p] = int32(len(keep))
 	}
-
-	mb.pending -= int64(before - mb.counts[p])
-
-	// Clear the scratch slack so it does not pin delivered payloads, and
-	// keep its grown capacity for the next drain.
-	for i := range keep {
-		keep[i] = Message{}
-	}
-	mb.scratch = keep[:0]
+	// Clear delivered inline slack so it does not pin payloads.
+	clear(r.inline[min(kept, in):in])
+	r.n = int32(kept)
+	mb.pending -= int64(n - kept)
 	return inbox
 }
 

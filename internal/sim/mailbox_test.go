@@ -1,14 +1,17 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func mkMsg(from, to int, ready Time) Message {
 	return Message{From: ProcID(from), To: ProcID(to), ReadyAt: ready, Payload: from*1000 + to}
 }
 
 // TestMailboxFIFOAndReadiness checks delivery order and ready filtering:
-// ready messages come out in enqueue order, not-ready messages stay queued
-// in order.
+// ready messages come out in send order, not-ready messages stay queued
+// in order, across the inline slots, several overflow blocks and a flush.
 func TestMailboxFIFOAndReadiness(t *testing.T) {
 	var mb mailbox
 	mb.init(4)
@@ -20,6 +23,10 @@ func TestMailboxFIFOAndReadiness(t *testing.T) {
 		}
 		mb.enqueue(mkMsg(i, 2, ready))
 	}
+	if mb.count(2) != 0 {
+		t.Fatalf("count = %d before the flush, want 0", mb.count(2))
+	}
+	mb.flush()
 	if mb.count(2) != 3*msgBlockCap {
 		t.Fatalf("count = %d, want %d", mb.count(2), 3*msgBlockCap)
 	}
@@ -60,6 +67,140 @@ func TestMailboxFIFOAndReadiness(t *testing.T) {
 	}
 }
 
+// TestMailboxFlushKeepsSendOrder stages one step of many senders to one
+// destination with mixed delays, interleaved with sends to other
+// destinations, on top of a queue that already spilled past its inline
+// slots. The destination must see its messages in send order, not in
+// ReadyAt or sender order: a message sent with delay 3 stays ahead of a
+// later one sent with delay 1.
+func TestMailboxFlushKeepsSendOrder(t *testing.T) {
+	var mb mailbox
+	mb.init(8)
+	seq := 0
+	send := func(to int, ready Time) {
+		mb.enqueue(Message{From: ProcID(seq % 8), To: ProcID(to), SentAt: Time(seq), ReadyAt: ready})
+		seq++
+	}
+	// Step 1: six messages to 5 (two past the inline slots), delay 3.
+	for i := 0; i < 6; i++ {
+		send(5, 4)
+	}
+	mb.flush()
+	// Step 2: 70 messages to 5 with delays alternating 1 and 3, and a
+	// message to every other destination between each.
+	for i := 0; i < 70; i++ {
+		send(5, Time(3+2*(i%2)))
+		send((5+1+i%7)%8, 3)
+	}
+	mb.flush()
+	if got := mb.count(5); got != 76 {
+		t.Fatalf("count(5) = %d, want 76", got)
+	}
+	// At t=3 only step 2's delay-1 messages are ready.
+	inbox := mb.drain(5, 3, nil)
+	if len(inbox) != 35 || mb.count(5) != 41 {
+		t.Fatalf("drained %d and kept %d at t=3, want 35 and 41", len(inbox), mb.count(5))
+	}
+	rest := mb.drain(5, 5, nil)
+	if len(rest) != 41 || mb.count(5) != 0 {
+		t.Fatalf("drained %d and kept %d at t=5, want 41 and 0", len(rest), mb.count(5))
+	}
+	for _, part := range [][]Message{inbox, rest} {
+		for i := 1; i < len(part); i++ {
+			if part[i].SentAt <= part[i-1].SentAt {
+				t.Fatalf("send order broken: message %d after %d", part[i].SentAt, part[i-1].SentAt)
+			}
+		}
+	}
+	if rest[0].SentAt != 0 {
+		t.Fatalf("the oldest kept message is %d, want 0", rest[0].SentAt)
+	}
+}
+
+// TestMailboxMatchesModel drives the mailbox with random steps — a few
+// senders' worth of sends with random delays to random destinations, one
+// flush, drains of random destinations — next to a plain per-destination
+// slice model, and checks every drain and every count.
+func TestMailboxMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 3, 64} {
+		var mb mailbox
+		mb.initRange(10, 10+n)
+		model := make([][]Message, n)
+		seq := 0
+		for now := Time(0); now < 400; now++ {
+			for p := 0; p < n; p++ {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				want := model[p][:0:0]
+				var ready []Message
+				for _, m := range model[p] {
+					if m.ReadyAt <= now {
+						ready = append(ready, m)
+					} else {
+						want = append(want, m)
+					}
+				}
+				model[p] = want
+				got := mb.drain(10+p, now, nil)
+				if len(got) != len(ready) {
+					t.Fatalf("n=%d t=%d p=%d: drained %d, want %d", n, now, p, len(got), len(ready))
+				}
+				for i := range got {
+					if got[i].SentAt != ready[i].SentAt {
+						t.Fatalf("n=%d t=%d p=%d: delivery %d is message %d, want %d", n, now, p, i, got[i].SentAt, ready[i].SentAt)
+					}
+				}
+				if mb.count(10+p) != len(want) {
+					t.Fatalf("n=%d t=%d p=%d: count %d after a partial drain, want %d", n, now, p, mb.count(10+p), len(want))
+				}
+			}
+			for k := rng.Intn(3 * msgBlockCap); k > 0; k-- {
+				to := rng.Intn(n)
+				m := Message{To: ProcID(10 + to), SentAt: Time(seq), ReadyAt: now + 1 + Time(rng.Intn(12))}
+				seq++
+				mb.enqueue(m)
+				model[to] = append(model[to], m)
+			}
+			mb.flush()
+			pending := 0
+			for p := range model {
+				pending += len(model[p])
+			}
+			if st := mb.stats(); st.PendingMessages != int64(pending) {
+				t.Fatalf("n=%d t=%d: PendingMessages %d, want %d", n, now, st.PendingMessages, pending)
+			}
+		}
+	}
+}
+
+// TestMailboxArenaStats pins ArenaStats' four fields: blocks carved from
+// slabs, blocks on the free list, undelivered messages (staged ones
+// included) and their high-water mark.
+func TestMailboxArenaStats(t *testing.T) {
+	var mb mailbox
+	mb.init(2)
+	for i := 0; i < inlineSlots+msgBlockCap+1; i++ {
+		mb.enqueue(mkMsg(i, 0, 1))
+	}
+	// Staged: two staging blocks, and every staged message is pending.
+	if st := mb.stats(); st != (ArenaStats{BlocksAllocated: 2, BlocksFree: 0, PendingMessages: 37, PeakPendingMessages: 37}) {
+		t.Fatalf("after staging: %+v", st)
+	}
+	// Flushed: 4 messages inline and 33 in two overflow blocks, carved
+	// while the staging blocks were still in use; those two are back on
+	// the free list.
+	mb.flush()
+	if st := mb.stats(); st != (ArenaStats{BlocksAllocated: 4, BlocksFree: 2, PendingMessages: 37, PeakPendingMessages: 37}) {
+		t.Fatalf("after the flush: %+v", st)
+	}
+	_ = mb.drain(0, 1, nil)
+	if st := mb.stats(); st != (ArenaStats{BlocksAllocated: 4, BlocksFree: 4, PendingMessages: 0, PeakPendingMessages: 37}) {
+		t.Fatalf("after the drain: %+v", st)
+	}
+}
+
 // TestMailboxRecyclesBlocks checks the free list: steady-state traffic
 // must reuse blocks instead of allocating new ones, and recycled blocks
 // must not retain payload references.
@@ -70,14 +211,18 @@ func TestMailboxRecyclesBlocks(t *testing.T) {
 		for i := 0; i < 4*msgBlockCap; i++ {
 			mb.enqueue(mkMsg(i, i%8, Time(round)))
 		}
+		mb.flush()
 		for p := 0; p < 8; p++ {
 			_ = mb.drain(p, Time(round), nil)
 		}
 	}
-	// One round needs ceil(4*cap/8 per destination) blocks; everything
-	// beyond the first round's peak must come from the free list.
-	if mb.allocated > 16 {
-		t.Fatalf("allocated %d blocks for a steady 4-block working set", mb.allocated)
+	// A round stages 4*msgBlockCap messages in 4 blocks and gives each of
+	// the 8 destinations 16: 4 inline and 12 in one overflow block. The
+	// staging blocks are recycled only after the flush has placed every
+	// message, so a round's peak is 4 + 8 = 12 blocks, and every later
+	// round must run on them.
+	if mb.allocated > 12 {
+		t.Fatalf("allocated %d blocks for a steady 12-block working set", mb.allocated)
 	}
 	for b := mb.free; b != nil; b = b.next {
 		for i := range b.msgs {
@@ -86,10 +231,18 @@ func TestMailboxRecyclesBlocks(t *testing.T) {
 			}
 		}
 	}
+	for p := range mb.recs {
+		for i := range mb.recs[p].inline {
+			if mb.recs[p].inline[i].Payload != nil {
+				t.Fatal("a drained record retains a payload reference")
+			}
+		}
+	}
 }
 
-// TestMailboxSteadyStateAllocs pins the enqueue/drain cycle at zero
-// allocations once the block free list is warm.
+// TestMailboxSteadyStateAllocs pins the enqueue/flush/drain cycle at zero
+// allocations once the block free list and the flush's sort buffers are
+// warm.
 func TestMailboxSteadyStateAllocs(t *testing.T) {
 	var mb mailbox
 	mb.init(4)
@@ -99,6 +252,7 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			mb.enqueue(Message{From: ProcID(i), To: ProcID(i % 4), ReadyAt: now, Payload: payload})
 		}
+		mb.flush()
 		for p := 0; p < 4; p++ {
 			inbox = mb.drain(p, now, inbox[:0])
 		}
@@ -110,7 +264,7 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 		now++
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state enqueue/drain allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state enqueue/flush/drain allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -127,6 +281,7 @@ func TestMailboxPartialKeepAcrossBlocks(t *testing.T) {
 		}
 		mb.enqueue(mkMsg(i, 0, ready))
 	}
+	mb.flush()
 	inbox := mb.drain(0, 1, nil)
 	if len(inbox)+mb.count(0) != total {
 		t.Fatalf("message conservation broken: %d delivered + %d kept != %d",

@@ -26,9 +26,10 @@ import (
 //	                   kernel would have produced, performing the delay
 //	                   draws (restoring the adversary's global draw order),
 //	                   metrics, tracer callbacks, payload retain/release,
-//	                   and routing each send to its destination shard.
-//	phase 3 (parallel) each shard enqueues its inbound messages — already
-//	                   in canonical order — into its local mailbox.
+//	                   and staging each send, in canonical order, in its
+//	                   destination shard's mailbox.
+//	phase 3 (parallel) each shard flushes its staged messages into its
+//	                   local queues.
 //
 // The contract is bit-identical output: the same schedule restricted to a
 // shard is the serial execution order of that shard's processes, messages
@@ -86,7 +87,6 @@ type shardRun struct {
 	recs      []procRec // one record per entry of sched
 	delivered []Message // flat delivery buffer (segments per record)
 	sent      []Message // flat send buffer (segments per record)
-	inbound   []Message // phase-2 routed messages, canonical order
 	cursor    int       // phase-2 replay cursor into recs
 	outbox    Outbox    // per-shard outbox, reused across steps
 }
@@ -295,8 +295,7 @@ func (e *shardEngine) replay(sched []ProcID) {
 			if rel, ok := m.Payload.(Releasable); ok {
 				rel.Retain()
 			}
-			dst := &e.sh[ShardOf(n, shards, m.To)]
-			dst.inbound = append(dst.inbound, m)
+			e.sh[ShardOf(n, shards, m.To)].box.enqueue(m)
 		}
 		if w.tracer != nil {
 			w.tracer.OnStep(p, w.now)
@@ -314,22 +313,14 @@ func (e *shardEngine) replay(sched []ProcID) {
 	}
 }
 
-// phase3 lets each shard enqueue its inbound messages — already in
-// canonical send order, which preserves per-destination FIFO order exactly
-// — and clears the step's buffer slack so dead payload references do not
-// pin snapshot storage.
+// phase3 lets each shard flush the messages the replay staged in its
+// mailbox — staged in canonical send order, which preserves
+// per-destination FIFO order exactly — and clears the step's send buffer
+// so dead payload references do not pin snapshot storage.
 func (e *shardEngine) phase3(s int) {
 	r := &e.sh[s]
-	for _, m := range r.inbound {
-		r.box.enqueue(m)
-	}
-	for i := range r.inbound {
-		r.inbound[i] = Message{}
-	}
-	r.inbound = r.inbound[:0]
-	for i := range r.sent {
-		r.sent[i] = Message{}
-	}
+	r.box.flush()
+	clear(r.sent)
 	r.sent = r.sent[:0]
 }
 

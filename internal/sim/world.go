@@ -213,7 +213,8 @@ func (w *World) stepTime() {
 	}
 
 	// 2. Schedule, then the step body: the serial per-process loop, or one
-	// sharded superstep over the same schedule.
+	// sharded superstep over the same schedule. Either way the step's sends
+	// reach their queues in one flush after its last process has stepped.
 	w.schedBuf = w.adv.Schedule(w.now, w, w.schedBuf[:0])
 	if w.eng != nil {
 		w.eng.superstep(w.schedBuf)
@@ -224,6 +225,7 @@ func (w *World) stepTime() {
 			}
 			w.stepProcess(p)
 		}
+		w.box.flush()
 	}
 
 	// 3. Experiment probe.
