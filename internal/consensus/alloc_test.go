@@ -7,6 +7,7 @@ package consensus_test
 // below one allocation per message.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/consensus"
@@ -18,7 +19,7 @@ import (
 // tears consensus run (construction included) at n=64: a send path that
 // allocates a payload or a vote snapshot per message fails it.
 func TestConsensusAllocsPerMessage(t *testing.T) {
-	const budget = 0.5
+	const budget = 0.25
 	var msgs int64
 	allocs := testing.AllocsPerRun(1, func() {
 		msgs = runGolden(t, consensus.TransportTEARS, goldenCfg).messages
@@ -26,7 +27,7 @@ func TestConsensusAllocsPerMessage(t *testing.T) {
 	perMsg := allocs / float64(msgs)
 	t.Logf("tears n=%d: %.0f allocations for %d messages (%.3f/msg)", goldenCfg.N, allocs, msgs, perMsg)
 	if perMsg > budget {
-		t.Fatalf("tears consensus allocates %.3f per message, budget %.1f", perMsg, budget)
+		t.Fatalf("tears consensus allocates %.3f per message, budget %.2f", perMsg, budget)
 	}
 }
 
@@ -38,13 +39,15 @@ type retainTracer struct {
 }
 
 type sentPayload struct {
-	pl *consensus.Payload
-	fp uint64
+	pl   *consensus.Payload
+	fp   uint64
+	from sim.ProcID
+	at   sim.Time
 }
 
 func (r *retainTracer) OnSend(m sim.Message) {
 	if pl, ok := m.Payload.(*consensus.Payload); ok {
-		r.sent = append(r.sent, sentPayload{pl: pl, fp: payloadFingerprint(pl)})
+		r.sent = append(r.sent, sentPayload{pl: pl, fp: payloadFingerprint(pl), from: m.From, at: m.SentAt})
 	}
 }
 
@@ -92,11 +95,17 @@ func payloadFingerprint(pl *consensus.Payload) uint64 {
 }
 
 // TestSharedPayloadsStayImmutable retains every payload sent in a run and
-// re-fingerprints it at the end: a payload shared by a fan-out (or a vote
-// snapshot shared by a Step) that a later step mutated would change its
-// fingerprint. Fewer distinct payloads than sends shows the sharing is in
-// effect.
+// re-fingerprints it at the end: a payload shared by a fan-out, or a vote
+// snapshot shared across Steps, that a later step mutated would change its
+// fingerprint. Fewer distinct payloads than sends shows the fan-out
+// sharing is in effect, and fewer distinct snapshots of live vote unions
+// than Steps that sent one shows the snapshot cache is: a node snapshots
+// its union again only after a union with news.
 func TestSharedPayloadsStayImmutable(t *testing.T) {
+	type step struct {
+		from sim.ProcID
+		at   sim.Time
+	}
 	for _, kind := range consensus.TransportKinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			rt := &retainTracer{}
@@ -105,15 +114,25 @@ func TestSharedPayloadsStayImmutable(t *testing.T) {
 				t.Fatalf("retained %d payloads for %d messages", len(rt.sent), got.messages)
 			}
 			distinct := make(map[*consensus.Payload]struct{}, len(rt.sent))
+			snaps := map[*core.Rumors]struct{}{}
+			steps := map[step]struct{}{}
 			for i, s := range rt.sent {
 				if fp := payloadFingerprint(s.pl); fp != s.fp {
 					t.Fatalf("send %d (idx %d): payload changed after it was sent", i, s.pl.Idx)
 				}
 				distinct[s.pl] = struct{}{}
+				if live := s.pl.W != nil && !slices.Contains(s.pl.Hist.Outputs, s.pl.W); live {
+					snaps[s.pl.W] = struct{}{}
+					steps[step{s.from, s.at}] = struct{}{}
+				}
 			}
-			t.Logf("%s: %d sends share %d payloads", kind, len(rt.sent), len(distinct))
+			t.Logf("%s: %d sends share %d payloads; %d Steps sent %d live vote snapshots",
+				kind, len(rt.sent), len(distinct), len(steps), len(snaps))
 			if len(distinct) >= len(rt.sent) {
 				t.Fatalf("%d sends used %d distinct payloads; a fan-out must share one", len(rt.sent), len(distinct))
+			}
+			if len(snaps) >= len(steps) {
+				t.Fatalf("%d Steps sent %d distinct live vote snapshots; an unchanged union must keep its snapshot", len(steps), len(snaps))
 			}
 		})
 	}

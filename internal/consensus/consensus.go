@@ -105,12 +105,10 @@ func (p *Payload) SizeBytes() int {
 // Node is one consensus process. It is a sim.Node; the kernel and
 // adversaries treat it exactly like a gossip node.
 type Node struct {
-	id    sim.ProcID
-	n     int
-	maj   int
-	input uint8
-	coin  Coin
-	par   Params
+	id   sim.ProcID
+	n    int
+	maj  int
+	coin Coin
 
 	factory transportFactory
 	r       *rng.RNG
@@ -120,9 +118,11 @@ type Node struct {
 	probe topology.Sampler
 
 	// Position: sub ∈ {1,2,3} within get-core #len(outputs).
-	sub     int
-	curVote uint8
-	w       *core.Rumors
+	sub int
+	w   *core.Rumors
+	// wSnap is the snapshot of w that payloads carry; it is kept across
+	// Steps until a union adds a member to w (nil: none taken yet).
+	wSnap *core.Rumors
 
 	// trs holds the transports of all still-active gossip instances,
 	// keyed by instance index. Completing a subround locally does NOT
@@ -131,11 +131,11 @@ type Node struct {
 	// disseminating (and eventually quiesces on its own) — otherwise,
 	// with exactly ⌊n/2⌋+1 survivors, the first process to move on would
 	// strand everyone else below the threshold forever. Old instances are
-	// retired once their gossip is idle or they fall out of the window.
-	trs map[int]transport
-	// spareInbox is inbox storage a retired gossip transport left behind,
-	// handed to the next instance openInstance creates.
-	spareInbox []sim.Message
+	// retired once their gossip is idle or they fall out of the window;
+	// retired gossip transports wait on free for the factory to rebuild
+	// them as later instances.
+	trs  map[int]transport
+	free []*protocolTransport
 
 	outputs []*core.Rumors
 	hist    *History
@@ -151,9 +151,6 @@ type Node struct {
 	idleSteps    int
 	replyTargets []sim.ProcID
 	idxScratch   []int
-	// scratch collects one transport step's gossip sends before they are
-	// wrapped in consensus payloads; every instance reuses it.
-	scratch sim.Outbox
 
 	// buffer holds messages for instances ahead of our position; they are
 	// replayed when we get there. This keeps gossip transports efficient
@@ -200,9 +197,7 @@ func NewNode(id sim.ProcID, input uint8, p Params, r *rng.RNG, coin Coin) (*Node
 		id:      id,
 		n:       p.N,
 		maj:     p.N/2 + 1,
-		input:   input,
 		coin:    coin,
-		par:     p,
 		factory: factory,
 		r:       r,
 		probe:   topology.NewSampler(int(id), p.N, p.Gossip.Graph),
@@ -233,55 +228,76 @@ func (n *Node) curIdx() int { return len(n.outputs)*3 + (n.sub - 1) }
 
 // startGetCore begins a new get-core with the given own vote.
 func (n *Node) startGetCore(vote uint8) {
-	n.curVote = vote
 	n.sub = 1
 	n.w = core.NewRumors(n.n, true)
 	n.w.Add(n.id, vote)
+	n.wSnap = nil
 	n.openInstance()
 	if len(n.outputs)%2 == 0 {
 		n.rounds++
 	}
 }
 
-// openInstance prunes retired transports and creates the transport for
-// the current instance, whose index is not in the map yet. A retired gossip
-// transport's inbox storage becomes the spare the new instance starts with,
-// so instances stop regrowing their inboxes from nil.
+// openInstance retires idle and out-of-window transports and opens the
+// transport for the current instance, whose index is not in the map yet.
+// Retirement runs in index order, so which retired transport a new
+// instance reuses does not depend on map order.
 func (n *Node) openInstance() {
 	if n.trs == nil {
 		n.trs = make(map[int]transport, windowSpan+1)
 	}
 	idx := n.curIdx()
-	for k, tr := range n.trs {
-		if k < idx-windowSpan || tr.idle() {
-			if pt, ok := tr.(*protocolTransport); ok && cap(pt.inbox) > cap(n.spareInbox) {
-				n.spareInbox = pt.inbox[:0]
+	for _, k := range n.sortedIdx() {
+		if tr := n.trs[k]; k < idx-windowSpan || tr.idle() {
+			if pt, ok := tr.(*protocolTransport); ok {
+				n.free = append(n.free, pt)
 			}
 			delete(n.trs, k)
 		}
 	}
-	tr := n.factory(idx, n.r.Fork(uint64(idx)+0x7A))
-	if pt, ok := tr.(*protocolTransport); ok {
-		pt.inbox, n.spareInbox = n.spareInbox, nil
+	var recycled *protocolTransport
+	if k := len(n.free); k > 0 {
+		recycled, n.free = n.free[k-1], n.free[:k-1]
 	}
-	n.trs[idx] = tr
+	n.trs[idx] = n.factory(*n.r.Fork(uint64(idx) + 0x7A), recycled)
+}
+
+// sortedIdx returns the active instance indices in ascending order (map
+// order would break replay determinism), in storage reused across calls.
+func (n *Node) sortedIdx() []int {
+	n.idxScratch = n.idxScratch[:0]
+	for idx := range n.trs {
+		n.idxScratch = append(n.idxScratch, idx)
+	}
+	sort.Ints(n.idxScratch)
+	return n.idxScratch
 }
 
 // cur returns the current instance's transport.
 func (n *Node) cur() transport { return n.trs[n.curIdx()] }
 
 // wFor returns the vote union to attach to messages of instance idx: the
-// frozen output for an older get-core, else a snapshot of the live union.
-// The live union does not change while a Step sends, so *snap caches the
-// snapshot and the Step takes at most one.
-func (n *Node) wFor(idx int, snap **core.Rumors) *core.Rumors {
+// frozen output for an older get-core, else the cached snapshot of the
+// live union.
+func (n *Node) wFor(idx int) *core.Rumors {
 	if step := idx / 3; step < len(n.outputs) {
 		return n.outputs[step]
 	}
-	if *snap == nil {
-		*snap = n.w.Snapshot()
+	if n.wSnap == nil {
+		n.wSnap = n.w.Snapshot()
 	}
-	return *snap
+	return n.wSnap
+}
+
+// mergeW folds a peer's vote union into the live one. A union with no news
+// is skipped, which keeps the cached snapshot valid and spares the
+// copy-on-write copy it would force.
+func (n *Node) mergeW(w *core.Rumors) {
+	if w == nil || w.Set.SubsetOf(n.w.Set) {
+		return
+	}
+	n.w.Union(w)
+	n.wSnap = nil
 }
 
 // Step implements sim.Node.
@@ -340,7 +356,7 @@ func (n *Node) Step(now sim.Time, inbox []sim.Message, out *sim.Outbox) {
 		senderStep := pl.Idx / 3
 		switch {
 		case senderStep == myStep:
-			n.w.Union(pl.W)
+			n.mergeW(pl.W)
 			if pl.Idx == n.curIdx() {
 				n.cur().absorb(now, m.From, pl.Inner)
 			} else if pl.Idx > n.curIdx() {
@@ -378,31 +394,23 @@ func (n *Node) Step(now sim.Time, inbox []sim.Message, out *sim.Outbox) {
 	}
 
 	// Transport step: spontaneous gossip sends for every active instance
-	// (the current one plus older ones still disseminating). Instances are
-	// stepped in index order — map iteration order would break replay
-	// determinism. A fan-out of one inner payload becomes one shared
-	// consensus payload.
+	// (the current one plus older ones still disseminating), in index
+	// order. A transport sends its gossip payloads into out, and each is
+	// then rewritten to a consensus payload: a fan-out of one inner
+	// payload becomes one shared consensus payload.
 	sent := false
-	n.idxScratch = n.idxScratch[:0]
-	for idx := range n.trs {
-		n.idxScratch = append(n.idxScratch, idx)
-	}
-	sort.Ints(n.idxScratch)
-	var snap *core.Rumors
-	for _, idx := range n.idxScratch {
-		n.scratch.Reset(n.id, now, n.n)
-		n.trs[idx].step(now, &n.scratch)
+	for _, idx := range n.sortedIdx() {
+		k := out.Len()
+		n.trs[idx].step(now, out)
+		msgs := out.Messages()[k:]
 		var pl *Payload
-		for _, m := range n.scratch.Messages() {
-			inner, ok := m.Payload.(*core.GossipPayload)
-			if !ok {
-				continue
-			}
+		for i := range msgs {
+			inner := msgs[i].Payload.(*core.GossipPayload)
 			if pl == nil || pl.Inner != inner {
-				pl = &Payload{Idx: idx, Inner: inner, W: n.wFor(idx, &snap), Hist: n.hist}
+				pl = &Payload{Idx: idx, Inner: inner, W: n.wFor(idx), Hist: n.hist}
 			}
+			msgs[i].Payload = pl
 			sent = true
-			out.Send(m.To, pl)
 		}
 	}
 
@@ -459,9 +467,7 @@ func (n *Node) drainBuffer(now sim.Time) {
 		case fm.idx < cur:
 			// stale, drop
 		case fm.idx/3 == myStep:
-			if fm.w != nil {
-				n.w.Union(fm.w)
-			}
+			n.mergeW(fm.w)
 			if fm.idx == cur {
 				n.cur().absorb(now, fm.from, fm.inner)
 			} else {

@@ -17,8 +17,8 @@ import (
 // who has contributed.
 type transport interface {
 	// step runs one local step, sending the instance's gossip payloads
-	// through out. The owning Node resets out before each call and reuses
-	// it for every instance.
+	// through out, the owning Node's outbox for this Step. The Node then
+	// rewrites the payloads of those sends to consensus payloads.
 	step(now sim.Time, out *sim.Outbox)
 	// absorb processes an incoming instance message's inner payload.
 	absorb(now sim.Time, from sim.ProcID, inner *core.GossipPayload)
@@ -51,15 +51,18 @@ func TransportKinds() []TransportKind {
 	return []TransportKind{TransportDirect, TransportEARS, TransportSEARS, TransportTEARS}
 }
 
-// transportFactory builds a fresh transport for each gossip instance.
-type transportFactory func(instance int, r *rng.RNG) transport
+// transportFactory builds the transport of one gossip instance from the
+// instance's random stream r. For a gossip transport kind it rebuilds
+// recycled, a transport its node retired, in place, and allocates a new
+// one only when recycled is nil. The direct transport ignores both.
+type transportFactory func(r rng.RNG, recycled *protocolTransport) transport
 
 // newTransportFactory returns the factory for a transport kind.
 func newTransportFactory(kind TransportKind, id sim.ProcID, p core.Params) (transportFactory, error) {
 	p = p.WithDefaults()
 	switch kind {
 	case TransportDirect:
-		return func(_ int, _ *rng.RNG) transport {
+		return func(rng.RNG, *protocolTransport) transport {
 			return newDirectTransport(id, p.N)
 		}, nil
 	case TransportEARS, TransportSEARS, TransportTEARS:
@@ -79,8 +82,15 @@ func newTransportFactory(kind TransportKind, id sim.ProcID, p core.Params) (tran
 		// rumor count (contributors), never its per-rumor acquisition
 		// times, so the Θ(n) time arrays per node would be dead weight.
 		p.Lean = true
-		return func(_ int, r *rng.RNG) transport {
-			return &protocolTransport{node: proto.NewNode(id, p, r)}
+		return func(r rng.RNG, pt *protocolTransport) transport {
+			if pt == nil {
+				pt = &protocolTransport{r: r}
+				pt.node = proto.NewNode(id, p, &pt.r).(resettable)
+				return pt
+			}
+			pt.r, pt.inbox = r, pt.inbox[:0]
+			pt.node.Reset(id, p, &pt.r)
+			return pt
 		}, nil
 	default:
 		return nil, fmt.Errorf("consensus: unknown transport %q (have %v)", kind, TransportKinds())
@@ -91,9 +101,21 @@ func newTransportFactory(kind TransportKind, id sim.ProcID, p core.Params) (tran
 // the contributor set. Incoming messages are buffered and fed to the node
 // at its next local step, matching the model ("a process receives a subset
 // of the messages sent to it, performs some computation, sends...").
+// A retired transport is recycled whole for a later instance: the node is
+// Reset, the inbox keeps its capacity, and r, the node's random stream,
+// is held by value so that a new instance allocates no generator.
 type protocolTransport struct {
-	node  sim.Node
+	node  resettable
 	inbox []sim.Message
+	r     rng.RNG
+}
+
+// resettable is a gossip node that can be rebuilt in place: core's ears,
+// sears and tears nodes, whose Reset(id, p, r) leaves them as NewNode(id,
+// p, r) would build them.
+type resettable interface {
+	sim.Node
+	Reset(id sim.ProcID, p core.Params, r *rng.RNG)
 }
 
 var _ transport = (*protocolTransport)(nil)

@@ -52,7 +52,7 @@ func TestPooledSendReleaseAllocs(t *testing.T) {
 // that carries both old and new rumors must not allocate, pooled or not.
 func TestAbsorbAllocs(t *testing.T) {
 	const n = 512
-	st := NewTracker(n, 0, NoValue, false)
+	st := Params{N: n}.NewTracker(0, NoValue)
 	in := NewRumors(n, false)
 	for i := 0; i < n; i += 2 {
 		in.Add(sim.ProcID(i), NoValue)
@@ -92,8 +92,8 @@ func TestSamplerKIntoAllocs(t *testing.T) {
 // count, and the position of the last acquisition.
 func TestLeanTrackerMilestones(t *testing.T) {
 	const n = 9
-	full := newTracker(n, 2, NoValue, false, nil, false)
-	lean := newTracker(n, 2, NoValue, false, nil, true)
+	full := Params{N: n}.NewTracker(2, NoValue)
+	lean := Params{N: n, Lean: true}.NewTracker(2, NoValue)
 
 	order := []sim.ProcID{7, 0, 5, 1, 8, 3, 4, 6}
 	for i, r := range order {

@@ -175,41 +175,38 @@ type Tracker struct {
 	majAt  sim.Time // lean: time the count first reached maj; -1 before
 }
 
-// NewTracker returns a full-mode, unpooled Tracker for process id over n
-// processes, seeded with the process's own rumor (value val, or NoValue).
-// Protocol implementations should prefer Params.NewTracker, which applies
-// the run's pool and tracker mode.
-func NewTracker(n int, id sim.ProcID, val uint8, withVals bool) Tracker {
-	return newTracker(n, id, val, withVals, nil, false)
-}
-
-// NewTracker builds the tracker for process id under p: pooled rumor
-// storage when the run has a pool, lean bookkeeping when p.Lean is set.
+// NewTracker builds the tracker for process id under p, seeded with the
+// process's own rumor (value val, or NoValue): pooled rumor storage when
+// the run has a pool, lean bookkeeping when p.Lean is set.
 func (p Params) NewTracker(id sim.ProcID, val uint8) Tracker {
-	return newTracker(p.N, id, val, p.WithVals, p.Pool, p.Lean)
+	var st Tracker
+	st.reset(p, id, val)
+	return st
 }
 
-func newTracker(n int, id sim.ProcID, val uint8, withVals bool, pool *Pool, lean bool) Tracker {
-	st := Tracker{
-		n:     n,
-		self:  id,
-		rum:   newRumors(n, withVals, pool),
-		lean:  lean,
-		maj:   n/2 + 1,
-		majAt: -1,
+// reset rebuilds st as p.NewTracker(id, val) would. An unpooled rumor set
+// without values over [p.N] is kept and emptied by Set.Clear, which copies
+// on write while a sent snapshot still shares its words.
+func (st *Tracker) reset(p Params, id sim.ProcID, val uint8) {
+	n, rum := p.N, st.rum
+	if rum != nil && rum.pool == nil && rum.Vals == nil && p.Pool == nil && !p.WithVals && rum.Set.Universe() == n {
+		rum.Set.Clear()
+	} else {
+		rum = newRumors(n, p.WithVals, p.Pool)
 	}
-	if !lean {
+	t := Tracker{n: n, self: id, rum: rum, lean: p.Lean, maj: n/2 + 1, majAt: -1}
+	if !p.Lean {
 		// One backing array for both time tables (they live and die
 		// together, and runs construct n of them).
 		times := make([]sim.Time, 2*n+1)
 		for i := range times {
 			times[i] = -1
 		}
-		st.acquiredAt = times[:n:n]
-		st.countAt = times[n:]
+		t.acquiredAt = times[:n:n]
+		t.countAt = times[n:]
 	}
-	st.Learn(id, val, 0)
-	return st
+	t.Learn(id, val, 0)
+	*st = t
 }
 
 // Learn records rumor r with value val at time now (idempotent).

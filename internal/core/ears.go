@@ -26,18 +26,9 @@ func (EARS) Name() string { return NameEARS }
 
 // NewNode implements Protocol.
 func (EARS) NewNode(id sim.ProcID, p Params, r *rng.RNG) sim.Node {
-	p = p.WithDefaults()
-	return &earsNode{
-		Tracker:       p.NewTracker(id, NoValue),
-		id:            id,
-		n:             p.N,
-		peers:         p.sampler(int(id)),
-		inf:           newInformedList(p.N, p.Pool, p.obligationRows(int(id))),
-		shutdownSteps: p.shutdownThreshold(),
-		fanout:        1,
-		pool:          p.Pool,
-		r:             r,
-	}
+	e := &earsNode{}
+	e.Reset(id, p, r)
+	return e
 }
 
 // Evaluator implements Protocol: ears promises full gossip.
@@ -49,8 +40,9 @@ func (EARS) Evaluator(p Params) sim.Evaluator {
 // fan-out and a one-step shut-down phase.
 type earsNode struct {
 	Tracker
-	id sim.ProcID
-	n  int
+	id    sim.ProcID
+	sears bool // the sears variant: fan-out Θ(n^ε log n), one shut-down step
+	n     int
 
 	// peers draws transmission targets: uniform on [n] in the paper's
 	// complete-graph model, uniform over the node's neighborhood when a
@@ -160,12 +152,43 @@ func (e *earsNode) CloneNode() sim.Node {
 		Tracker:       e.CloneTracker(),
 		id:            e.id,
 		n:             e.n,
+		sears:         e.sears,
 		peers:         e.peers,
 		inf:           e.inf.clone(),
 		sleepCnt:      e.sleepCnt,
 		shutdownSteps: e.shutdownSteps,
 		fanout:        e.fanout,
 		r:             e.r.Clone(),
+	}
+}
+
+// Reset rebuilds the node in place as NewNode(id, p, r) would, drawing
+// from r exactly as NewNode does (NewNode is a zero node and a Reset). The
+// informed list is rebuilt, since payloads sent before the reset share its
+// matrix.
+func (e *earsNode) Reset(id sim.ProcID, p Params, r *rng.RNG) {
+	p = p.WithDefaults()
+	fanout, shutdown := 1, p.shutdownThreshold()
+	if e.sears {
+		// "Each process takes only one shut-down step."
+		fanout, shutdown = p.searsFanout(), 1
+	}
+	e.Tracker.reset(p, id, NoValue)
+	*e = earsNode{
+		Tracker:       e.Tracker,
+		id:            id,
+		n:             p.N,
+		sears:         e.sears,
+		peers:         p.sampler(int(id)),
+		inf:           newInformedList(p.N, p.Pool, p.obligationRows(int(id))),
+		shutdownSteps: shutdown,
+		fanout:        fanout,
+		kbuf:          e.kbuf[:0],
+		pool:          p.Pool,
+		r:             r,
+	}
+	if e.sears && e.kbuf == nil {
+		e.kbuf = make([]int, 0, fanout)
 	}
 }
 

@@ -181,7 +181,7 @@ func TestEARSInformedListSoundness(t *testing.T) {
 func TestQuickTrackerInvariants(t *testing.T) {
 	check := func(adds []uint16, times []uint8) bool {
 		const n = 64
-		tr := NewTracker(n, 3, NoValue, false)
+		tr := Params{N: n}.NewTracker(3, NoValue)
 		now := sim.Time(1)
 		for i, a := range adds {
 			in := NewRumors(n, false)
@@ -237,11 +237,11 @@ func TestQuickAbsorbCommutes(t *testing.T) {
 			return ru
 		}
 		a, bset := mk(xs), mk(ys)
-		t1 := NewTracker(n, 0, NoValue, false)
+		t1 := Params{N: n}.NewTracker(0, NoValue)
 		t1.Absorb(a, 1)
 		t1.Absorb(bset, 2)
 		t1.Absorb(a, 3) // idempotent re-absorb
-		t2 := NewTracker(n, 0, NoValue, false)
+		t2 := Params{N: n}.NewTracker(0, NoValue)
 		t2.Absorb(bset, 1)
 		t2.Absorb(a, 2)
 		return t1.RumorSet().Equal(t2.RumorSet())

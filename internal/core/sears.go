@@ -23,21 +23,9 @@ func (SEARS) Name() string { return NameSEARS }
 
 // NewNode implements Protocol.
 func (SEARS) NewNode(id sim.ProcID, p Params, r *rng.RNG) sim.Node {
-	p = p.WithDefaults()
-	fanout := p.searsFanout()
-	return &earsNode{
-		Tracker: p.NewTracker(id, NoValue),
-		id:      id,
-		n:       p.N,
-		peers:   p.sampler(int(id)),
-		inf:     newInformedList(p.N, p.Pool, p.obligationRows(int(id))),
-		// "Each process takes only one shut-down step."
-		shutdownSteps: 1,
-		fanout:        fanout,
-		kbuf:          make([]int, 0, fanout),
-		pool:          p.Pool,
-		r:             r,
-	}
+	e := &earsNode{sears: true}
+	e.Reset(id, p, r)
+	return e
 }
 
 // Evaluator implements Protocol: sears promises full gossip.

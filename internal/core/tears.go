@@ -42,16 +42,25 @@ func (TEARS) Name() string { return NameTEARS }
 
 // NewNode implements Protocol.
 func (TEARS) NewNode(id sim.ProcID, p Params, r *rng.RNG) sim.Node {
+	t := &tearsNode{}
+	t.Reset(id, p, r)
+	return t
+}
+
+// Reset rebuilds the node in place as NewNode(id, p, r) would, drawing
+// from r exactly as NewNode does: Π1 and Π2 are re-drawn into the old
+// slices.
+func (t *tearsNode) Reset(id sim.ProcID, p Params, r *rng.RNG) {
 	p = p.WithDefaults()
-	n := p.N
 	a := p.tearsA()
-	node := &tearsNode{
-		Tracker: p.NewTracker(id, NoValue),
+	t.Tracker.reset(p, id, NoValue)
+	*t = tearsNode{
+		Tracker: t.Tracker,
 		id:      id,
-		n:       n,
-		a:       a,
 		mu:      a / 2,
 		kappa:   p.tearsKappa(),
+		pi1:     t.pi1[:0],
+		pi2:     t.pi2[:0],
 		pool:    p.Pool,
 		r:       r,
 	}
@@ -68,19 +77,20 @@ func (TEARS) NewNode(id sim.ProcID, p Params, r *rng.RNG) sim.Node {
 	// Audience sizes concentrate tightly around a (Lemma 8); pre-sizing to
 	// a small margin above the mean makes construction two allocations
 	// instead of a growth chain per audience.
-	cap1 := a + a/4 + 8
-	node.pi1 = make([]sim.ProcID, 0, cap1)
-	node.pi2 = make([]sim.ProcID, 0, cap1)
+	if t.pi1 == nil {
+		cap1 := a + a/4 + 8
+		t.pi1 = make([]sim.ProcID, 0, cap1)
+		t.pi2 = make([]sim.ProcID, 0, cap1)
+	}
 	ps.Each(func(q int) bool {
 		if r.Bool(prob) {
-			node.pi1 = append(node.pi1, sim.ProcID(q))
+			t.pi1 = append(t.pi1, sim.ProcID(q))
 		}
 		if r.Bool(prob) {
-			node.pi2 = append(node.pi2, sim.ProcID(q))
+			t.pi2 = append(t.pi2, sim.ProcID(q))
 		}
 		return true
 	})
-	return node
 }
 
 // Evaluator implements Protocol: tears promises majority gossip.
@@ -91,16 +101,13 @@ func (TEARS) Evaluator(p Params) sim.Evaluator {
 type tearsNode struct {
 	Tracker
 	id sim.ProcID
-	n  int
 
-	a, mu, kappa int
-	pi1, pi2     []sim.ProcID
+	mu, kappa int
+	pi1, pi2  []sim.ProcID
 
-	started  bool
-	upCnt    int // first-level (flag ↑) messages received
-	checked  int // upCnt value at the last trigger evaluation
-	sentSnd  int // second-level broadcasts performed (diagnostics)
-	safeEnds sim.Time
+	started bool
+	upCnt   int // first-level (flag ↑) messages received
+	checked int // upCnt value at the last trigger evaluation
 
 	pool *Pool
 	r    *rng.RNG
@@ -139,8 +146,6 @@ func (t *tearsNode) Step(now sim.Time, inbox []sim.Message, out *sim.Outbox) {
 		prev := t.checked
 		t.checked = t.upCnt
 		if t.triggerCrossed(prev, t.upCnt) {
-			t.sentSnd++
-			t.safeEnds = now
 			payload := t.pool.Gossip(t.rum.Snapshot(), nil, false)
 			out.SendAll(t.pi2, payload)
 		}
@@ -189,19 +194,15 @@ func (t *tearsNode) Quiescent() bool { return t.started }
 // CloneNode implements sim.Cloner.
 func (t *tearsNode) CloneNode() sim.Node {
 	return &tearsNode{
-		Tracker:  t.CloneTracker(),
-		id:       t.id,
-		n:        t.n,
-		a:        t.a,
-		mu:       t.mu,
-		kappa:    t.kappa,
-		pi1:      append([]sim.ProcID(nil), t.pi1...),
-		pi2:      append([]sim.ProcID(nil), t.pi2...),
-		started:  t.started,
-		upCnt:    t.upCnt,
-		checked:  t.checked,
-		sentSnd:  t.sentSnd,
-		safeEnds: t.safeEnds,
-		r:        t.r.Clone(),
+		Tracker: t.CloneTracker(),
+		id:      t.id,
+		mu:      t.mu,
+		kappa:   t.kappa,
+		pi1:     append([]sim.ProcID(nil), t.pi1...),
+		pi2:     append([]sim.ProcID(nil), t.pi2...),
+		started: t.started,
+		upCnt:   t.upCnt,
+		checked: t.checked,
+		r:       t.r.Clone(),
 	}
 }

@@ -19,7 +19,7 @@ func (lazyProto) Name() string { return "lazy" }
 
 func (lazyProto) NewNode(id sim.ProcID, p core.Params, r *rng.RNG) sim.Node {
 	return &lazyNode{
-		Tracker: core.NewTracker(p.N, id, core.NoValue, false),
+		Tracker: core.Params{N: p.N}.NewTracker(id, core.NoValue),
 		id:      id,
 		n:       p.N,
 		r:       r,

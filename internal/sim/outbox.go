@@ -27,7 +27,8 @@ func NewOutbox(from ProcID, now Time, n int) *Outbox {
 func (o *Outbox) Reset(from ProcID, now Time, n int) { o.reset(from, now, n) }
 
 // Messages returns the messages collected this step. The slice is owned by
-// the outbox and invalidated by the next Reset.
+// the outbox and invalidated by the next Reset. A node may rewrite the
+// payloads of messages it queued in the current Step, before it returns.
 func (o *Outbox) Messages() []Message { return o.msgs }
 
 // reset prepares the outbox for a new step of process p.
