@@ -96,7 +96,6 @@ func captureSampleRun(dir string, out io.Writer) error {
 	ps := pool.Stats()
 	gauges := []telemetry.Gauge{
 		{Name: "sim_arena_blocks_allocated", Help: "Mailbox arena blocks ever created.", Value: float64(arena.BlocksAllocated)},
-		{Name: "sim_arena_blocks_free", Help: "Mailbox arena blocks on the free list.", Value: float64(arena.BlocksFree)},
 		{Name: "sim_arena_pending_peak", Help: "Peak undelivered messages in the mailbox.", Value: float64(arena.PeakPendingMessages)},
 		{Name: "pool_gets", Help: "Pool objects handed out.", Value: float64(ps.PayloadGets), Labels: map[string]string{"kind": "payload"}},
 		{Name: "pool_reuses", Help: "Pool objects served from the free list.", Value: float64(ps.PayloadReuses), Labels: map[string]string{"kind": "payload"}},

@@ -45,6 +45,8 @@ type Composed struct {
 	schedule Schedule
 	delays   DelayPolicy
 	crashes  CrashPolicy
+	// observers are the components that observe sends, found by Compose.
+	observers []sim.SendObserver
 }
 
 var _ sim.Adversary = (*Composed)(nil)
@@ -62,7 +64,13 @@ func Compose(s Schedule, d DelayPolicy, c CrashPolicy) *Composed {
 	if c == nil {
 		c = NoCrashes{}
 	}
-	return &Composed{schedule: s, delays: d, crashes: c}
+	a := &Composed{schedule: s, delays: d, crashes: c}
+	for _, p := range []any{s, d, c} {
+		if o, ok := p.(sim.SendObserver); ok {
+			a.observers = append(a.observers, o)
+		}
+	}
+	return a
 }
 
 // Schedule implements sim.Adversary.
@@ -83,13 +91,7 @@ func (a *Composed) Crashes(t sim.Time, v sim.View, buf []sim.ProcID) []sim.ProcI
 // ObserveSend forwards send observations to any component that wants them
 // (adaptive policies).
 func (a *Composed) ObserveSend(m sim.Message) {
-	if o, ok := a.schedule.(sim.SendObserver); ok {
-		o.ObserveSend(m)
-	}
-	if o, ok := a.delays.(sim.SendObserver); ok {
-		o.ObserveSend(m)
-	}
-	if o, ok := a.crashes.(sim.SendObserver); ok {
+	for _, o := range a.observers {
 		o.ObserveSend(m)
 	}
 }

@@ -7,6 +7,7 @@ package consensus_test
 // below one allocation per message.
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -28,6 +29,24 @@ func TestConsensusAllocsPerMessage(t *testing.T) {
 	t.Logf("tears n=%d: %.0f allocations for %d messages (%.3f/msg)", goldenCfg.N, allocs, msgs, perMsg)
 	if perMsg > budget {
 		t.Fatalf("tears consensus allocates %.3f per message, budget %.2f", perMsg, budget)
+	}
+}
+
+// TestConsensusBytesPerMessage pins the bytes the same run allocates per
+// message, measured after one warm-up run as AllocsPerRun measures: an
+// instance that grows its own inbox again, or a world that carves its
+// mailbox blocks anew, fails it.
+func TestConsensusBytesPerMessage(t *testing.T) {
+	const budget = 30
+	runGolden(t, consensus.TransportTEARS, goldenCfg)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	msgs := runGolden(t, consensus.TransportTEARS, goldenCfg).messages
+	runtime.ReadMemStats(&after)
+	perMsg := float64(after.TotalAlloc-before.TotalAlloc) / float64(msgs)
+	t.Logf("tears n=%d: %d bytes for %d messages (%.0f B/msg)", goldenCfg.N, after.TotalAlloc-before.TotalAlloc, msgs, perMsg)
+	if perMsg > budget {
+		t.Fatalf("tears consensus allocates %.0f bytes per message, budget %d", perMsg, budget)
 	}
 }
 

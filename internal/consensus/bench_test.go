@@ -13,8 +13,8 @@ import (
 // BenchmarkConsensusTEARS runs one tears consensus run per iteration, in
 // the shape of the consensus_tears benchmark workload: n=128, f=63,
 // d=δ=2, the standard adversary, seeds 1..12 in turn. Construction is
-// timed with the run, as in the workload. It reports ns and allocations
-// per message, the per-Step cost of the consensus layer and the gossip
+// timed with the run, as in the workload. It reports ns, allocations and
+// bytes per message, the per-Step cost of the consensus layer and the gossip
 // nodes it embeds.
 func BenchmarkConsensusTEARS(b *testing.B) {
 	var msgs int64
@@ -43,4 +43,5 @@ func BenchmarkConsensusTEARS(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs), "allocs/msg")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(msgs), "B/msg")
 }

@@ -182,6 +182,11 @@ var (
 
 // NewNode builds a consensus node with the given binary input.
 func NewNode(id sim.ProcID, input uint8, p Params, r *rng.RNG, coin Coin) (*Node, error) {
+	return newNode(id, input, p, r, coin, make(feedPool, feedPoolSize))
+}
+
+// newNode is NewNode with the pool its transports borrow feed buffers from.
+func newNode(id sim.ProcID, input uint8, p Params, r *rng.RNG, coin Coin, pool feedPool) (*Node, error) {
 	p = p.WithDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -189,7 +194,7 @@ func NewNode(id sim.ProcID, input uint8, p Params, r *rng.RNG, coin Coin) (*Node
 	if input > 1 {
 		return nil, fmt.Errorf("consensus: input %d not binary", input)
 	}
-	factory, err := newTransportFactory(p.Transport, id, p.Gossip)
+	factory, err := newTransportFactory(p.Transport, id, p.Gossip, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -250,6 +255,7 @@ func (n *Node) openInstance() {
 	for _, k := range n.sortedIdx() {
 		if tr := n.trs[k]; k < idx-windowSpan || tr.idle() {
 			if pt, ok := tr.(*protocolTransport); ok {
+				pt.release()
 				n.free = append(n.free, pt)
 			}
 			delete(n.trs, k)
@@ -563,6 +569,12 @@ func (n *Node) decide(v uint8, now sim.Time) {
 	n.decision = v
 	n.decidedAt = now
 	n.rebuildHist()
+	// A decided node never steps its transports again.
+	for _, idx := range n.sortedIdx() {
+		if pt, ok := n.trs[idx].(*protocolTransport); ok {
+			pt.release()
+		}
+	}
 }
 
 // rebuildHist publishes a fresh immutable history snapshot.

@@ -10,7 +10,7 @@ import (
 // NewNodes builds the n consensus nodes for the given binary inputs. Node
 // randomness and the default common coin both derive from seed (through
 // independent forks); the adversary stream must come from a different tag,
-// which adversary.Standard already guarantees.
+// which adversary.Standard already guarantees. The nodes share a feedPool.
 func NewNodes(p Params, inputs []uint8, seed int64) ([]sim.Node, error) {
 	p = p.WithDefaults()
 	if err := p.Validate(); err != nil {
@@ -24,9 +24,10 @@ func NewNodes(p Params, inputs []uint8, seed int64) ([]sim.Node, error) {
 		coin = NewCommonCoin(seed)
 	}
 	root := rng.New(seed).Fork(0xC0465)
+	pool := make(feedPool, feedPoolSize)
 	nodes := make([]sim.Node, p.N)
 	for i := range nodes {
-		nd, err := NewNode(sim.ProcID(i), inputs[i], p, root.Fork(uint64(i)), coin)
+		nd, err := newNode(sim.ProcID(i), inputs[i], p, root.Fork(uint64(i)), coin, pool)
 		if err != nil {
 			return nil, err
 		}

@@ -58,7 +58,7 @@ func TransportKinds() []TransportKind {
 type transportFactory func(r rng.RNG, recycled *protocolTransport) transport
 
 // newTransportFactory returns the factory for a transport kind.
-func newTransportFactory(kind TransportKind, id sim.ProcID, p core.Params) (transportFactory, error) {
+func newTransportFactory(kind TransportKind, id sim.ProcID, p core.Params, pool feedPool) (transportFactory, error) {
 	p = p.WithDefaults()
 	switch kind {
 	case TransportDirect:
@@ -84,11 +84,11 @@ func newTransportFactory(kind TransportKind, id sim.ProcID, p core.Params) (tran
 		p.Lean = true
 		return func(r rng.RNG, pt *protocolTransport) transport {
 			if pt == nil {
-				pt = &protocolTransport{r: r}
+				pt = &protocolTransport{pool: pool, r: r}
 				pt.node = proto.NewNode(id, p, &pt.r).(resettable)
 				return pt
 			}
-			pt.r, pt.inbox = r, pt.inbox[:0]
+			pt.r = r
 			pt.node.Reset(id, p, &pt.r)
 			return pt
 		}, nil
@@ -101,14 +101,25 @@ func newTransportFactory(kind TransportKind, id sim.ProcID, p core.Params) (tran
 // the contributor set. Incoming messages are buffered and fed to the node
 // at its next local step, matching the model ("a process receives a subset
 // of the messages sent to it, performs some computation, sends...").
-// A retired transport is recycled whole for a later instance: the node is
-// Reset, the inbox keeps its capacity, and r, the node's random stream,
-// is held by value so that a new instance allocates no generator.
+// The buffer, feed, is borrowed from the pool at the Step's first absorb
+// and returned after the step or at retirement (dropping what was not
+// stepped). A retired transport is recycled whole: the node is Reset, and
+// r is held by value so that a new instance allocates no generator.
 type protocolTransport struct {
-	node  resettable
-	inbox []sim.Message
-	r     rng.RNG
+	node resettable
+	feed []sim.Message
+	pool feedPool
+	r    rng.RNG
 }
+
+// feedPool holds the idle feed buffers of one set of nodes, which sharded
+// worlds step concurrently; a buffer returned to a full pool is dropped.
+// Only transports that absorbed messages in the current Step hold one.
+type feedPool chan []sim.Message
+
+// feedPoolSize exceeds what nodes stepping at once hold: one Step borrows
+// at most windowSpan+1 buffers.
+const feedPoolSize = 64
 
 // resettable is a gossip node that can be rebuilt in place: core's ears,
 // sears and tears nodes, whose Reset(id, p, r) leaves them as NewNode(id,
@@ -121,19 +132,37 @@ type resettable interface {
 var _ transport = (*protocolTransport)(nil)
 
 func (t *protocolTransport) absorb(_ sim.Time, from sim.ProcID, inner *core.GossipPayload) {
-	t.inbox = append(t.inbox, sim.Message{From: from, To: t.node.ID(), Payload: inner})
+	if t.feed == nil {
+		select {
+		case t.feed = <-t.pool:
+		default:
+		}
+	}
+	t.feed = append(t.feed, sim.Message{From: from, To: t.node.ID(), Payload: inner})
 }
 
 func (t *protocolTransport) step(now sim.Time, out *sim.Outbox) {
-	t.node.Step(now, t.inbox, out)
-	t.inbox = t.inbox[:0]
+	t.node.Step(now, t.feed, out)
+	t.release()
+}
+
+// release clears the feed and returns it to the pool.
+func (t *protocolTransport) release() {
+	if t.feed != nil {
+		clear(t.feed)
+		select {
+		case t.pool <- t.feed[:0]:
+		default:
+		}
+		t.feed = nil
+	}
 }
 
 func (t *protocolTransport) count() int {
 	return t.node.(core.RumorHolder).RumorSet().Count()
 }
 
-func (t *protocolTransport) idle() bool { return t.node.Quiescent() && len(t.inbox) == 0 }
+func (t *protocolTransport) idle() bool { return t.node.Quiescent() && len(t.feed) == 0 }
 
 // directTransport is the all-to-all phase of the Canetti–Rabin baseline:
 // each process sends its contribution to everyone once, then waits.

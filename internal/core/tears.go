@@ -82,15 +82,27 @@ func (t *tearsNode) Reset(id sim.ProcID, p Params, r *rng.RNG) {
 		t.pi1 = make([]sim.ProcID, 0, cap1)
 		t.pi2 = make([]sim.ProcID, 0, cap1)
 	}
-	ps.Each(func(q int) bool {
-		if r.Bool(prob) {
-			t.pi1 = append(t.pi1, sim.ProcID(q))
-		}
-		if r.Bool(prob) {
-			t.pi2 = append(t.pi2, sim.ProcID(q))
-		}
-		return true
-	})
+	// A closure handed to the Graph interface escapes; the clique needs none.
+	if p.Graph != nil {
+		p.Graph.Neighbors(int(id), func(q int) bool { t.drawAudiences(q, prob); return true })
+		return
+	}
+	for q := range int(id) {
+		t.drawAudiences(q, prob)
+	}
+	for q := int(id) + 1; q < p.N; q++ {
+		t.drawAudiences(q, prob)
+	}
+}
+
+// drawAudiences puts q in Π1, then in Π2, each with probability prob.
+func (t *tearsNode) drawAudiences(q int, prob float64) {
+	if t.r.Bool(prob) {
+		t.pi1 = append(t.pi1, sim.ProcID(q))
+	}
+	if t.r.Bool(prob) {
+		t.pi2 = append(t.pi2, sim.ProcID(q))
+	}
 }
 
 // Evaluator implements Protocol: tears promises majority gossip.

@@ -156,3 +156,32 @@ func TestReferenceKernelConsensus(t *testing.T) {
 		})
 	}
 }
+
+// TestPendingSurvivesHandBack: Run hands only free blocks on, so after a
+// crash-heavy run and after a timed-out run the blocks that still queue
+// messages stay with the world and sent = delivered + pending holds
+// (runWorld checks it). Each run is repeated on the blocks the previous
+// ones handed back, and must not change.
+func TestPendingSurvivesHandBack(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  assemble.Run
+	}{
+		{"crashes", assemble.Run{Protocol: "push-pull", N: 128, F: 63, D: 4, Delta: 2, Seed: 3, Preset: adversary.PresetStandard}},
+		{"timeout", assemble.Run{Protocol: "ears", N: 128, D: 4, Delta: 2, Seed: 3, MaxSteps: 6, Preset: adversary.PresetStandard}},
+	} {
+		for _, shards := range []int{0, 3} {
+			first := runWorld(t, c.run, shards)
+			delivered := int64(0)
+			for _, d := range first.delivered {
+				delivered += d
+			}
+			if first.res.Messages == delivered || first.res.TimedOut != (c.run.MaxSteps > 0) {
+				t.Fatalf("%s, shards=%d: the run left nothing pending or did not end as meant: %+v", c.name, shards, first.res)
+			}
+			if again := runWorld(t, c.run, shards); !reflect.DeepEqual(again, first) {
+				t.Fatalf("%s, shards=%d: a rerun on handed-back blocks differs:\n first %+v\n again %+v", c.name, shards, first, again)
+			}
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package sim
 
+import "sync"
+
 // msgBlockCap is the number of messages per mailbox block. Blocks are the
 // unit of recycling: big enough that per-message overhead amortizes, small
 // enough that a mostly-drained destination does not pin much memory.
@@ -32,7 +34,8 @@ type boxRec struct {
 // emptied by a delivery are recycled at once (with their payload
 // references cleared), so steady-state traffic allocates nothing and
 // delivered payloads become collectable (or poolable) the moment they are
-// consumed.
+// consumed. When Run returns, the free list moves to a process-wide spare
+// list, from which later worlds take blocks before they carve new ones.
 //
 // Sends are not written to their destination when made. enqueue stages
 // them in send order, in blocks from the same free list, and flush, called
@@ -42,7 +45,7 @@ type boxRec struct {
 // random destinations. Deferring is invisible: every delay is at least 1,
 // so no message sent at t is deliverable at t, and nothing reads a queue
 // between a step's sends and the end of the step. Like the world that owns
-// it, a mailbox is single-goroutine.
+// it, a mailbox is single-goroutine; only the spare list is shared.
 type mailbox struct {
 	recs []boxRec
 	lo   int // first destination id this mailbox serves (sharded worlds)
@@ -53,8 +56,7 @@ type mailbox struct {
 	order   []int32     // flush scratch: staged indices in destination order
 	buckets []int32     // flush scratch: counting-sort bucket offsets
 
-	allocated int        // blocks ever created (diagnostics)
-	freeN     int        // blocks currently on the free list
+	allocated int        // blocks taken, carved or spare (diagnostics)
 	pending   int64      // undelivered messages across all destinations
 	peak      int64      // high-water mark of pending
 	slab      []msgBlock // fresh blocks are carved from slabs
@@ -62,9 +64,6 @@ type mailbox struct {
 
 // blockSlab is the number of blocks allocated per slab.
 const blockSlab = 16
-
-// init prepares the mailbox for destinations 0..n-1.
-func (mb *mailbox) init(n int) { mb.initRange(0, n) }
 
 // initRange prepares the mailbox for the destination range [lo, hi) — the
 // id-range slice a shard owns. Storage is sized to the range, not to the
@@ -76,18 +75,11 @@ func (mb *mailbox) initRange(lo, hi int) {
 }
 
 func (mb *mailbox) getBlock() *msgBlock {
-	if b := mb.free; b != nil {
-		mb.free = b.next
-		mb.freeN--
-		b.next = nil
-		return b
+	b := mb.free
+	if b == nil {
+		return mb.newBlock()
 	}
-	if len(mb.slab) == 0 {
-		mb.slab = make([]msgBlock, blockSlab)
-	}
-	b := &mb.slab[0]
-	mb.slab = mb.slab[1:]
-	mb.allocated++
+	mb.free, b.next = b.next, nil
 	return b
 }
 
@@ -99,7 +91,6 @@ func (mb *mailbox) putBlock(b *msgBlock) {
 	b.n = 0
 	b.next = mb.free
 	mb.free = b
-	mb.freeN++
 }
 
 // enqueue stages m, which joins its destination's queue at the next flush.
@@ -165,6 +156,30 @@ func (mb *mailbox) flush() {
 	}
 	mb.staging = mb.staging[:0]
 	mb.staged = 0
+}
+
+// newBlock takes a block a finished world handed back, or else carves
+// one; out of line, it keeps getBlock's inlined path small.
+//
+//go:noinline
+func (mb *mailbox) newBlock() *msgBlock {
+	mb.allocated++
+	spare.Lock()
+	b := spare.head
+	if b != nil {
+		spare.head, b.next = b.next, nil
+		spare.n--
+	}
+	spare.Unlock()
+	if b != nil {
+		return b
+	}
+	if len(mb.slab) == 0 {
+		mb.slab = make([]msgBlock, blockSlab)
+	}
+	b = &mb.slab[0]
+	mb.slab = mb.slab[1:]
+	return b
 }
 
 // push appends m to its destination's queue.
@@ -263,10 +278,8 @@ func (mb *mailbox) drain(p int, now Time, inbox []Message) []Message {
 // ArenaStats is a point-in-time reading of the mailbox block arena —
 // telemetry for memory-pressure curves (occupancy, recycling efficacy).
 type ArenaStats struct {
-	// BlocksAllocated counts blocks ever carved from slabs.
+	// BlocksAllocated counts blocks taken, carved or handed back.
 	BlocksAllocated int
-	// BlocksFree counts blocks currently parked on the free list.
-	BlocksFree int
 	// PendingMessages counts undelivered messages across all destinations.
 	PendingMessages int64
 	// PeakPendingMessages is the run's high-water mark of PendingMessages.
@@ -277,8 +290,33 @@ type ArenaStats struct {
 func (mb *mailbox) stats() ArenaStats {
 	return ArenaStats{
 		BlocksAllocated:     mb.allocated,
-		BlocksFree:          mb.freeN,
 		PendingMessages:     mb.pending,
 		PeakPendingMessages: mb.peak,
 	}
+}
+
+// spare holds up to maxSpareBlocks free blocks (5.3 MB) of finished
+// worlds. Unlike a sync.Pool it survives a GC, so allocation counts stay
+// exact.
+var spare struct {
+	sync.Mutex
+	head *msgBlock
+	n    int
+}
+
+const maxSpareBlocks = 4096
+
+// handBack moves the free list to the spare list, up to its bound. Blocks
+// that still queue messages stay: pending counts read the same after Run.
+func (mb *mailbox) handBack() {
+	spare.Lock()
+	for b := mb.free; b != nil; b = mb.free {
+		mb.free, b.next = b.next, nil
+		if spare.n < maxSpareBlocks {
+			b.next, spare.head = spare.head, b
+			spare.n++
+		}
+	}
+	spare.Unlock()
+	clear(mb.staging[:cap(mb.staging)]) // its stale entries name handed-back blocks
 }

@@ -14,7 +14,7 @@ func mkMsg(from, to int, ready Time) Message {
 // in order, across the inline slots, several overflow blocks and a flush.
 func TestMailboxFIFOAndReadiness(t *testing.T) {
 	var mb mailbox
-	mb.init(4)
+	mb.initRange(0, 4)
 	// Interleave ready (t<=5) and future (t=9) messages across blocks.
 	for i := 0; i < 3*msgBlockCap; i++ {
 		ready := Time(5)
@@ -75,7 +75,7 @@ func TestMailboxFIFOAndReadiness(t *testing.T) {
 // later one sent with delay 1.
 func TestMailboxFlushKeepsSendOrder(t *testing.T) {
 	var mb mailbox
-	mb.init(8)
+	mb.initRange(0, 8)
 	seq := 0
 	send := func(to int, ready Time) {
 		mb.enqueue(Message{From: ProcID(seq % 8), To: ProcID(to), SentAt: Time(seq), ReadyAt: ready})
@@ -175,30 +175,39 @@ func TestMailboxMatchesModel(t *testing.T) {
 	}
 }
 
-// TestMailboxArenaStats pins ArenaStats' four fields: blocks carved from
-// slabs, blocks on the free list, undelivered messages (staged ones
-// included) and their high-water mark.
+// TestMailboxArenaStats pins ArenaStats' three fields, blocks taken,
+// undelivered messages (staged ones included) and their high-water mark,
+// and the blocks on the free list.
 func TestMailboxArenaStats(t *testing.T) {
 	var mb mailbox
-	mb.init(2)
+	mb.initRange(0, 2)
 	for i := 0; i < inlineSlots+msgBlockCap+1; i++ {
 		mb.enqueue(mkMsg(i, 0, 1))
 	}
 	// Staged: two staging blocks, and every staged message is pending.
-	if st := mb.stats(); st != (ArenaStats{BlocksAllocated: 2, BlocksFree: 0, PendingMessages: 37, PeakPendingMessages: 37}) {
-		t.Fatalf("after staging: %+v", st)
+	if st := mb.stats(); st != (ArenaStats{BlocksAllocated: 2, PendingMessages: 37, PeakPendingMessages: 37}) || freeBlocks(&mb) != 0 {
+		t.Fatalf("after staging: %+v, %d free", st, freeBlocks(&mb))
 	}
 	// Flushed: 4 messages inline and 33 in two overflow blocks, carved
 	// while the staging blocks were still in use; those two are back on
 	// the free list.
 	mb.flush()
-	if st := mb.stats(); st != (ArenaStats{BlocksAllocated: 4, BlocksFree: 2, PendingMessages: 37, PeakPendingMessages: 37}) {
-		t.Fatalf("after the flush: %+v", st)
+	if st := mb.stats(); st != (ArenaStats{BlocksAllocated: 4, PendingMessages: 37, PeakPendingMessages: 37}) || freeBlocks(&mb) != 2 {
+		t.Fatalf("after the flush: %+v, %d free", st, freeBlocks(&mb))
 	}
 	_ = mb.drain(0, 1, nil)
-	if st := mb.stats(); st != (ArenaStats{BlocksAllocated: 4, BlocksFree: 4, PendingMessages: 0, PeakPendingMessages: 37}) {
-		t.Fatalf("after the drain: %+v", st)
+	if st := mb.stats(); st != (ArenaStats{BlocksAllocated: 4, PendingMessages: 0, PeakPendingMessages: 37}) || freeBlocks(&mb) != 4 {
+		t.Fatalf("after the drain: %+v, %d free", st, freeBlocks(&mb))
 	}
+}
+
+// freeBlocks counts the blocks on the mailbox's free list.
+func freeBlocks(mb *mailbox) int {
+	n := 0
+	for b := mb.free; b != nil; b = b.next {
+		n++
+	}
+	return n
 }
 
 // TestMailboxRecyclesBlocks checks the free list: steady-state traffic
@@ -206,7 +215,7 @@ func TestMailboxArenaStats(t *testing.T) {
 // must not retain payload references.
 func TestMailboxRecyclesBlocks(t *testing.T) {
 	var mb mailbox
-	mb.init(8)
+	mb.initRange(0, 8)
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 4*msgBlockCap; i++ {
 			mb.enqueue(mkMsg(i, i%8, Time(round)))
@@ -245,7 +254,7 @@ func TestMailboxRecyclesBlocks(t *testing.T) {
 // warm.
 func TestMailboxSteadyStateAllocs(t *testing.T) {
 	var mb mailbox
-	mb.init(4)
+	mb.initRange(0, 4)
 	inbox := make([]Message, 0, 256)
 	payload := Payload("steady") // precomputed: boxing a fresh value would allocate in the test itself
 	cycle := func(now Time) {
@@ -272,7 +281,7 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 // kept messages span multiple blocks and trailing blocks are recycled.
 func TestMailboxPartialKeepAcrossBlocks(t *testing.T) {
 	var mb mailbox
-	mb.init(1)
+	mb.initRange(0, 1)
 	total := 5*msgBlockCap + 7
 	for i := 0; i < total; i++ {
 		ready := Time(1)

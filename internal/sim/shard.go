@@ -141,13 +141,16 @@ func (e *shardEngine) start() {
 	}
 }
 
-// stop tears the worker pool down (idempotent).
+// stop tears the worker pool down and hands free blocks back (idempotent).
 func (e *shardEngine) stop() {
 	if !e.started {
 		return
 	}
 	e.started = false
 	close(e.jobs)
+	for s := range e.sh {
+		e.sh[s].box.handBack()
+	}
 }
 
 // runShard executes the current phase body for one shard, capturing panics
@@ -352,7 +355,6 @@ func (e *shardEngine) stats() ArenaStats {
 	for s := range e.sh {
 		st := e.sh[s].box.stats()
 		out.BlocksAllocated += st.BlocksAllocated
-		out.BlocksFree += st.BlocksFree
 		out.PendingMessages += st.PendingMessages
 		out.PeakPendingMessages += st.PeakPendingMessages
 	}

@@ -77,7 +77,7 @@ func NewWorld(cfg Config, nodes []Node, adv Adversary) (*World, error) {
 	if shards := EffectiveShards(cfg.N, cfg.Shards); shards > 1 {
 		w.eng = newShardEngine(w, shards, cfg.ShardWorkers)
 	} else {
-		w.box.init(cfg.N)
+		w.box.initRange(0, cfg.N)
 	}
 	for i := range w.alive {
 		w.alive[i] = true
@@ -144,13 +144,16 @@ func (w *World) Config() Config { return w.cfg }
 // Run executes the simulation until the world goes quiet (every live node
 // quiescent and no message in flight to a live process) or MaxSteps
 // elapses, then judges the run with the evaluator. A nil evaluator accepts
-// unconditionally with CompletedAt = quiesce time.
+// unconditionally with CompletedAt = quiesce time. On return the world's
+// free mailbox blocks go to later worlds (mailbox.go).
 func (w *World) Run(eval Evaluator) (Result, error) {
 	var res Result
 	quiet := false
 	if w.eng != nil {
 		w.eng.start()
 		defer w.eng.stop()
+	} else {
+		defer w.box.handBack()
 	}
 	for w.now = 0; w.now < w.cfg.MaxSteps; w.now++ {
 		w.stepTime()
