@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -94,8 +95,11 @@ type NodeReport struct {
 }
 
 // controlConn is a node's persistent request/response connection to the
-// registry.
-type controlConn struct{ conn net.Conn }
+// registry; replies are read through r.
+type controlConn struct {
+	conn net.Conn
+	r    *bufio.Reader
+}
 
 func dialControl(addr string, timeout time.Duration) (*controlConn, error) {
 	deadline := time.Now().Add(timeout)
@@ -103,7 +107,7 @@ func dialControl(addr string, timeout time.Duration) (*controlConn, error) {
 	for {
 		conn, err := net.DialTimeout("tcp", addr, time.Second)
 		if err == nil {
-			return &controlConn{conn: conn}, nil
+			return &controlConn{conn: conn, r: bufio.NewReader(conn)}, nil
 		}
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("cluster: dial registry %s: %w", addr, err)
@@ -121,7 +125,7 @@ func (c *controlConn) roundTrip(kind byte, msg, reply any) error {
 	if err := WriteFrame(c.conn, kind, body); err != nil {
 		return err
 	}
-	gotKind, gotBody, err := ReadFrame(c.conn)
+	gotKind, gotBody, err := ReadFrame(c.r)
 	if err != nil {
 		return err
 	}

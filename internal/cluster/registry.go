@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -87,40 +88,40 @@ func (r *Registry) handleConn(conn net.Conn) {
 		delete(r.conns, conn)
 		r.mu.Unlock()
 	}()
+	br := bufio.NewReader(conn)
 	for {
-		kind, body, err := ReadFrame(conn)
+		kind, body, err := ReadFrame(br)
 		if err != nil {
 			return
 		}
-		var replyKind byte
-		var reply any
+		var reply any // sent as kind+1: every reply kind is its request kind + 1
 		switch kind {
 		case KindJoin:
 			var msg JoinMsg
 			if err := json.Unmarshal(body, &msg); err != nil {
 				return
 			}
-			replyKind, reply = KindJoinOK, r.join(msg)
+			reply = r.join(msg)
 		case KindHeartbeat:
 			var msg HeartbeatMsg
 			if err := json.Unmarshal(body, &msg); err != nil {
 				return
 			}
-			replyKind, reply = KindHeartbeatAck, r.heartbeat(msg)
+			reply = r.heartbeat(msg)
 		case KindReport:
 			var rep NodeReport
 			if err := json.Unmarshal(body, &rep); err != nil {
 				return
 			}
 			r.report(&rep)
-			replyKind, reply = KindReportOK, struct{}{}
+			reply = struct{}{}
 		case KindLeave:
 			var msg LeaveMsg
 			if err := json.Unmarshal(body, &msg); err != nil {
 				return
 			}
 			r.leave(msg.ID)
-			replyKind, reply = KindLeaveOK, struct{}{}
+			reply = struct{}{}
 		default:
 			return // unknown control request: drop the connection
 		}
@@ -128,7 +129,7 @@ func (r *Registry) handleConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if err := WriteFrame(conn, replyKind, out); err != nil {
+		if err := WriteFrame(conn, kind+1, out); err != nil {
 			return
 		}
 	}
@@ -138,7 +139,7 @@ func (r *Registry) join(msg JoinMsg) JoinOKMsg {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.members[msg.ID] = &memberState{
-		Member:   Member{ID: msg.ID, Addr: msg.Addr, MetricsAddr: msg.MetricsAddr},
+		Member:   msg,
 		lastSeen: time.Now(),
 	}
 	return JoinOKMsg{EpochUnixNano: r.epoch, Members: r.memberListLocked()}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -22,7 +23,8 @@ type Transport struct {
 	inbox chan sim.Message
 
 	mu    sync.Mutex
-	conns map[string]net.Conn
+	conns map[string]peerConn // outbound connections and their write buffers
+	body  []byte              // Send's encoding scratch
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -47,7 +49,7 @@ func NewTransport(addr string, inboxCap int) (*Transport, error) {
 	t := &Transport{
 		ln:           ln,
 		inbox:        make(chan sim.Message, inboxCap),
-		conns:        make(map[string]net.Conn),
+		conns:        make(map[string]peerConn),
 		closed:       make(chan struct{}),
 		dialAttempts: 8,
 		dialBackoff:  5 * time.Millisecond,
@@ -80,8 +82,9 @@ func (t *Transport) acceptLoop() {
 func (t *Transport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
+	br := bufio.NewReader(conn)
 	for {
-		kind, body, err := ReadFrame(conn)
+		kind, body, err := ReadFrame(br)
 		if err != nil {
 			return // EOF, peer close, or garbage: drop the connection
 		}
@@ -103,41 +106,50 @@ func (t *Transport) readLoop(conn net.Conn) {
 // ErrTransportClosed reports a send on a closed transport.
 var ErrTransportClosed = errors.New("cluster: transport closed")
 
+type peerConn struct {
+	conn net.Conn
+	w    *bufio.Writer
+}
+
 // Send encodes m and ships it to the peer at addr, dialing (with retry
 // and exponential backoff) or re-dialing as needed. Writes to one peer
 // are serialized by the connection cache lock; the per-node send rate is
 // one outbox per paced step, so contention is not a concern.
 func (t *Transport) Send(addr string, m sim.Message) error {
-	body, err := AppendGossip(nil, m)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	body, err := AppendGossip(t.body[:0], m)
 	if err != nil {
 		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.body = body
 	select {
 	case <-t.closed:
 		return ErrTransportClosed
 	default:
 	}
-	conn := t.conns[addr]
-	if conn != nil {
-		if err := WriteFrame(conn, KindGossip, body); err == nil {
+	if pc, ok := t.conns[addr]; ok {
+		if WriteFrame(pc.w, KindGossip, body) == nil && pc.w.Flush() == nil {
 			return nil
 		}
 		// Peer restarted or the connection died: drop and re-dial once
 		// through the same backoff path.
-		conn.Close()
+		pc.conn.Close()
 		delete(t.conns, addr)
 	}
-	conn, err = t.dial(addr)
+	conn, err := t.dial(addr)
 	if err != nil {
 		return err
 	}
-	if err := WriteFrame(conn, KindGossip, body); err != nil {
+	pc := peerConn{conn: conn, w: bufio.NewWriter(conn)}
+	if err = WriteFrame(pc.w, KindGossip, body); err == nil {
+		err = pc.w.Flush()
+	}
+	if err != nil {
 		conn.Close()
 		return err
 	}
-	t.conns[addr] = conn
+	t.conns[addr] = pc
 	return nil
 }
 
@@ -172,8 +184,8 @@ func (t *Transport) Close() {
 		close(t.closed)
 		t.ln.Close()
 		t.mu.Lock()
-		for addr, c := range t.conns {
-			c.Close()
+		for addr, pc := range t.conns {
+			pc.conn.Close()
 			delete(t.conns, addr)
 		}
 		t.mu.Unlock()

@@ -69,17 +69,30 @@ const (
 	KindReportOK     = 0x17 // registry → node: report accepted
 )
 
-// WriteFrame writes one framed envelope.
+// WriteFrame writes one framed envelope: into w's AvailableBuffer when w
+// has one, so no frame is copied, and as one copied frame otherwise.
 func WriteFrame(w io.Writer, kind byte, body []byte) error {
 	if len(body)+envelopeHeader > MaxFrame {
 		return fmt.Errorf("cluster: frame body %d bytes exceeds MaxFrame", len(body))
 	}
-	hdr := make([]byte, 4+envelopeHeader, 4+envelopeHeader+len(body))
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(envelopeHeader+len(body)))
-	binary.BigEndian.PutUint32(hdr[4:8], WireMagic)
-	hdr[8] = WireVersion
-	hdr[9] = kind
-	_, err := w.Write(append(hdr, body...))
+	var hdr []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		hdr = ab.AvailableBuffer()
+	}
+	if cap(hdr) < 4+envelopeHeader {
+		hdr = make([]byte, 0, 4+envelopeHeader+len(body))
+	}
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(envelopeHeader+len(body)))
+	hdr = binary.BigEndian.AppendUint32(hdr, WireMagic)
+	hdr = append(hdr, WireVersion, kind)
+	if len(body) <= cap(hdr)-len(hdr) {
+		_, err := w.Write(append(hdr, body...))
+		return err
+	}
+	if _, err := w.Write(hdr); err != nil { // appending the body would allocate
+		return err
+	}
+	_, err := w.Write(body)
 	return err
 }
 
@@ -87,11 +100,10 @@ func WriteFrame(w io.Writer, kind byte, body []byte) error {
 // rejects bad magic, unknown versions and oversized frames. A length claim
 // alone never makes it allocate more than frameChunk bytes (see readBody).
 func ReadFrame(r io.Reader) (kind byte, body []byte, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	n, err := readLength(r)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n < envelopeHeader || n > MaxFrame {
 		return 0, nil, fmt.Errorf("cluster: frame length %d out of range", n)
 	}
@@ -106,6 +118,26 @@ func ReadFrame(r io.Reader) (kind byte, body []byte, err error) {
 		return 0, nil, fmt.Errorf("cluster: envelope version %d, this build speaks %d", buf[4], WireVersion)
 	}
 	return buf[5], buf[6:], nil
+}
+
+// readLength reads a frame length with io.ReadFull's error contract. An
+// io.ByteReader is read a byte at a time, so no length buffer escapes.
+func readLength(r io.Reader) (n uint32, err error) {
+	if br, ok := r.(io.ByteReader); ok {
+		for i := 0; i < 4; i++ {
+			c, err := br.ReadByte()
+			if err == io.EOF && i > 0 {
+				return 0, io.ErrUnexpectedEOF
+			} else if err != nil {
+				return 0, err
+			}
+			n = n<<8 | uint32(c)
+		}
+		return n, nil
+	}
+	var b [4]byte
+	_, err = io.ReadFull(r, b[:])
+	return binary.BigEndian.Uint32(b[:]), err
 }
 
 // frameChunk is the largest body ReadFrame allocates up front. Larger
@@ -174,12 +206,8 @@ type Member struct {
 	MetricsAddr string `json:"metrics_addr,omitempty"`
 }
 
-// JoinMsg registers a node.
-type JoinMsg struct {
-	ID          int    `json:"id"`
-	Addr        string `json:"addr"`
-	MetricsAddr string `json:"metrics_addr,omitempty"`
-}
+// JoinMsg registers a node as the member it becomes.
+type JoinMsg = Member
 
 // JoinOKMsg acknowledges a join: the shared run epoch and the membership
 // known so far.

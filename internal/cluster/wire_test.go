@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
@@ -43,42 +44,66 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// frameReaders are the two ways ReadFrame reads a frame length: an
+// io.ByteReader a byte at a time, any other reader through io.ReadFull.
+var frameReaders = []struct {
+	name string
+	wrap func(*bytes.Reader) io.Reader
+}{
+	{"bytereader", func(r *bytes.Reader) io.Reader { return r }},
+	{"reader", func(r *bytes.Reader) io.Reader { return struct{ io.Reader }{r} }},
+}
+
 func TestFrameRejectsCorruption(t *testing.T) {
-	frame := func() []byte {
-		var buf bytes.Buffer
-		if err := cluster.WriteFrame(&buf, cluster.KindHeartbeat, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	for _, fr := range frameReaders {
+		t.Run(fr.name, func(t *testing.T) {
+			read := func(frame []byte) error {
+				_, _, err := cluster.ReadFrame(fr.wrap(bytes.NewReader(frame)))
+				return err
+			}
+			frame := func() []byte {
+				var buf bytes.Buffer
+				if err := cluster.WriteFrame(&buf, cluster.KindHeartbeat, []byte("x")); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
 
-	badMagic := frame()
-	badMagic[4] ^= 0xff
-	if _, _, err := cluster.ReadFrame(bytes.NewReader(badMagic)); err == nil {
-		t.Error("bad magic accepted")
-	}
+			badMagic := frame()
+			badMagic[4] ^= 0xff
+			if read(badMagic) == nil {
+				t.Error("bad magic accepted")
+			}
 
-	badVersion := frame()
-	badVersion[8] = cluster.WireVersion + 1
-	if _, _, err := cluster.ReadFrame(bytes.NewReader(badVersion)); err == nil {
-		t.Error("future envelope version accepted")
-	}
+			badVersion := frame()
+			badVersion[8] = cluster.WireVersion + 1
+			if read(badVersion) == nil {
+				t.Error("future envelope version accepted")
+			}
 
-	oversize := frame()
-	binary.BigEndian.PutUint32(oversize[0:4], cluster.MaxFrame+1)
-	if _, _, err := cluster.ReadFrame(bytes.NewReader(oversize)); err == nil {
-		t.Error("oversized frame length accepted")
-	}
+			oversize := frame()
+			binary.BigEndian.PutUint32(oversize[0:4], cluster.MaxFrame+1)
+			if read(oversize) == nil {
+				t.Error("oversized frame length accepted")
+			}
 
-	undersize := frame()
-	binary.BigEndian.PutUint32(undersize[0:4], 2) // shorter than the envelope header
-	if _, _, err := cluster.ReadFrame(bytes.NewReader(undersize)); err == nil {
-		t.Error("undersized frame length accepted")
-	}
+			undersize := frame()
+			binary.BigEndian.PutUint32(undersize[0:4], 2) // shorter than the envelope header
+			if read(undersize) == nil {
+				t.Error("undersized frame length accepted")
+			}
 
-	truncated := frame()
-	if _, _, err := cluster.ReadFrame(bytes.NewReader(truncated[:len(truncated)-1])); err == nil {
-		t.Error("truncated frame accepted")
+			truncated := frame()
+			if read(truncated[:len(truncated)-1]) == nil {
+				t.Error("truncated frame accepted")
+			}
+			if err := read(truncated[:2]); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("length cut after 2 bytes: err = %v, want %v", err, io.ErrUnexpectedEOF)
+			}
+			if err := read(nil); !errors.Is(err, io.EOF) {
+				t.Errorf("empty stream: err = %v, want %v", err, io.EOF)
+			}
+		})
 	}
 
 	if err := cluster.WriteFrame(&bytes.Buffer{}, cluster.KindGossip, make([]byte, cluster.MaxFrame)); err == nil {
@@ -92,15 +117,17 @@ func TestFrameRejectsCorruption(t *testing.T) {
 func TestReadFrameLyingLength(t *testing.T) {
 	frame := binary.BigEndian.AppendUint32(nil, cluster.MaxFrame)
 	frame = append(frame, make([]byte, 10)...)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err := cluster.ReadFrame(bytes.NewReader(frame))
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("lying frame: err = %v, want %v", err, io.ErrUnexpectedEOF)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("lying frame length made ReadFrame allocate %d bytes for 14 received", got)
+	for _, fr := range frameReaders {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := cluster.ReadFrame(fr.wrap(bytes.NewReader(frame)))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: lying frame: err = %v, want %v", fr.name, err, io.ErrUnexpectedEOF)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%s: lying frame length made ReadFrame allocate %d bytes for 14 received", fr.name, got)
+		}
 	}
 }
 
@@ -164,10 +191,52 @@ func goldenPayloads(tb testing.TB) [][]byte {
 	return out
 }
 
+// errClass names the io.ReadFull error contract's classes.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "nil"
+	case err == io.EOF:
+		return "EOF"
+	case err == io.ErrUnexpectedEOF:
+		return "UnexpectedEOF"
+	}
+	return "invalid"
+}
+
+// frameWriters are the three ways WriteFrame writes a frame: built in a
+// bytes.Buffer's free space, header then body into a bufio.Writer too
+// small for most bodies, and one copied frame into a plain writer.
+func frameWriters(kind byte, body []byte) (map[string][]byte, error) {
+	out := make(map[string][]byte)
+	var direct bytes.Buffer
+	if err := cluster.WriteFrame(&direct, kind, body); err != nil {
+		return nil, err
+	}
+	out["bytes.Buffer"] = direct.Bytes()
+	var buffered bytes.Buffer
+	bw := bufio.NewWriterSize(&buffered, 16)
+	if err := cluster.WriteFrame(bw, kind, body); err != nil {
+		return nil, err
+	}
+	if err := bw.Flush(); err != nil {
+		return nil, err
+	}
+	out["bufio.Writer(16)"] = buffered.Bytes()
+	var plain bytes.Buffer
+	if err := cluster.WriteFrame(struct{ io.Writer }{&plain}, kind, body); err != nil {
+		return nil, err
+	}
+	out["plain writer"] = plain.Bytes()
+	return out, nil
+}
+
 // FuzzReadGossipFrame feeds the receive path (ReadFrame, then DecodeGossip
 // for a gossip frame) arbitrary bytes, as a peer's socket could. It must
-// never panic, and every frame it accepts must re-encode to exactly the
-// bytes it consumed.
+// never panic, both of ReadFrame's length paths must agree on kind, body,
+// bytes consumed and error class, and every frame it accepts must
+// re-encode to exactly the bytes it consumed through each of WriteFrame's
+// paths.
 func FuzzReadGossipFrame(f *testing.F) {
 	for _, g := range goldenPayloads(f) {
 		f.Add(gossipFrame(f, g))
@@ -183,10 +252,17 @@ func FuzzReadGossipFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(ctl.Bytes())
+	f.Add([]byte{0, 0}) // a length cut short
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		kind, body, err := cluster.ReadFrame(r)
+		kind, body, err := cluster.ReadFrame(frameReaders[0].wrap(r))
+		plain := bytes.NewReader(data)
+		kind2, body2, err2 := cluster.ReadFrame(frameReaders[1].wrap(plain))
+		if errClass(err) != errClass(err2) || kind != kind2 || !bytes.Equal(body, body2) || r.Len() != plain.Len() {
+			t.Fatalf("length paths disagree: byte reader (%#x, %x, %v, %d left), plain reader (%#x, %x, %v, %d left)",
+				kind, body, err, r.Len(), kind2, body2, err2, plain.Len())
+		}
 		if err != nil {
 			return
 		}
@@ -200,12 +276,14 @@ func FuzzReadGossipFrame(f *testing.F) {
 				t.Fatalf("decoded message %+v does not encode: %v", m, err)
 			}
 		}
-		var again bytes.Buffer
-		if err := cluster.WriteFrame(&again, kind, body); err != nil {
+		again, err := frameWriters(kind, body)
+		if err != nil {
 			t.Fatalf("accepted frame does not re-frame: %v", err)
 		}
-		if !bytes.Equal(again.Bytes(), frame) {
-			t.Fatalf("read then write changed the frame\n  in: %x\n out: %x", frame, again.Bytes())
+		for name, out := range again {
+			if !bytes.Equal(out, frame) {
+				t.Fatalf("read then write through %s changed the frame\n  in: %x\n out: %x", name, frame, out)
+			}
 		}
 	})
 }
