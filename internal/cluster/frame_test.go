@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -53,32 +54,32 @@ func captureSends(tb testing.TB, proto string, n, limit int) []sim.Message {
 }
 
 // TestFrameAllocs pins the frame path's allocations: WriteFrame makes
-// none into a writer with free space, including a body larger than a
-// bufio.Writer's buffer, and ReadFrame makes one, the body it returns.
+// none into a writer with room for the frame, and ReadFrame makes one,
+// the body it returns.
 func TestFrameAllocs(t *testing.T) {
 	for _, size := range []int{20, 8300} {
 		body := bytes.Repeat([]byte{0x5a}, size)
 		var buf bytes.Buffer
 		if got := testing.AllocsPerRun(100, func() {
-			buf.Reset()
+			buf.Reset() // as Transport.Send does
 			if err := cluster.WriteFrame(&buf, cluster.KindGossip, body); err != nil {
 				t.Fatal(err)
 			}
 		}); got != 0 {
 			t.Errorf("WriteFrame of %d bytes into a bytes.Buffer: %v allocations, want 0", size, got)
 		}
-		// Flushed after each frame, as Transport.Send does.
-		bw := bufio.NewWriter(io.Discard)
-		if got := testing.AllocsPerRun(100, func() {
-			if err := cluster.WriteFrame(bw, cluster.KindGossip, body); err != nil {
-				t.Fatal(err)
-			}
-			if err := bw.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}); got != 0 {
-			t.Errorf("WriteFrame of %d bytes into a bufio.Writer: %v allocations, want 0", size, got)
+	}
+	small := make([]byte, 20)
+	bw := bufio.NewWriter(io.Discard)
+	if got := testing.AllocsPerRun(100, func() {
+		if err := cluster.WriteFrame(bw, cluster.KindGossip, small); err != nil {
+			t.Fatal(err)
 		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("WriteFrame of 20 bytes into a bufio.Writer: %v allocations, want 0", got)
 	}
 
 	const runs = 100
@@ -117,7 +118,7 @@ func transportPair(tb testing.TB) (from, to *cluster.Transport) {
 }
 
 // TestTransportDeliversInOrder sends one ears n=256 message, whose frame
-// is larger than the peer connection's write buffer, then 1 000 push-pull
+// is larger than the receiver's 4 KiB bufio.Reader, then 1 000 push-pull
 // and averaging messages over loopback: each must arrive in send order
 // and equal what was sent.
 func TestTransportDeliversInOrder(t *testing.T) {
@@ -204,6 +205,47 @@ func TestTransportConcurrentSends(t *testing.T) {
 		case <-timeout:
 			t.Fatalf("%d of %d messages arrived", got, senders*each)
 		}
+	}
+}
+
+// TestTransportSendAllocs pins Send at no allocation once its scratch
+// buffers and peer connection are warm: an ears n=256 and a push-pull
+// message, each encoded, framed and written, to a peer that discards
+// what it reads.
+func TestTransportSendAllocs(t *testing.T) {
+	msgs := append(captureSends(t, core.NameEARS, 256, 1), captureSends(t, core.NamePushPull, 256, 1)...)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return // the sender closed
+			}
+		}
+	}()
+	from, err := cluster.NewTransport("127.0.0.1:0", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(from.Close)
+	addr := ln.Addr().String()
+	if got := testing.AllocsPerRun(100, func() {
+		for _, m := range msgs {
+			if err := from.Send(addr, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); got != 0 {
+		t.Errorf("Send of an ears and a push-pull message: %v allocations, want 0", got)
 	}
 }
 

@@ -94,34 +94,35 @@ func (r *Registry) handleConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		var reply any // sent as kind+1: every reply kind is its request kind + 1
+		var replyKind byte
+		var reply any
 		switch kind {
 		case KindJoin:
 			var msg JoinMsg
 			if err := json.Unmarshal(body, &msg); err != nil {
 				return
 			}
-			reply = r.join(msg)
+			replyKind, reply = KindJoinOK, r.join(msg)
 		case KindHeartbeat:
 			var msg HeartbeatMsg
 			if err := json.Unmarshal(body, &msg); err != nil {
 				return
 			}
-			reply = r.heartbeat(msg)
+			replyKind, reply = KindHeartbeatAck, r.heartbeat(msg)
 		case KindReport:
 			var rep NodeReport
 			if err := json.Unmarshal(body, &rep); err != nil {
 				return
 			}
 			r.report(&rep)
-			reply = struct{}{}
+			replyKind, reply = KindReportOK, struct{}{}
 		case KindLeave:
 			var msg LeaveMsg
 			if err := json.Unmarshal(body, &msg); err != nil {
 				return
 			}
 			r.leave(msg.ID)
-			reply = struct{}{}
+			replyKind, reply = KindLeaveOK, struct{}{}
 		default:
 			return // unknown control request: drop the connection
 		}
@@ -129,7 +130,7 @@ func (r *Registry) handleConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if err := WriteFrame(conn, kind+1, out); err != nil {
+		if err := WriteFrame(conn, replyKind, out); err != nil {
 			return
 		}
 	}
@@ -139,7 +140,7 @@ func (r *Registry) join(msg JoinMsg) JoinOKMsg {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.members[msg.ID] = &memberState{
-		Member:   msg,
+		Member:   Member{ID: msg.ID, Addr: msg.Addr, MetricsAddr: msg.MetricsAddr},
 		lastSeen: time.Now(),
 	}
 	return JoinOKMsg{EpochUnixNano: r.epoch, Members: r.memberListLocked()}

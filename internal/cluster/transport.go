@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -23,8 +24,9 @@ type Transport struct {
 	inbox chan sim.Message
 
 	mu    sync.Mutex
-	conns map[string]peerConn // outbound connections and their write buffers
-	body  []byte              // Send's encoding scratch
+	conns map[string]net.Conn
+	body  []byte       // Send's encoding scratch
+	frame bytes.Buffer // Send's framing scratch
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -49,7 +51,7 @@ func NewTransport(addr string, inboxCap int) (*Transport, error) {
 	t := &Transport{
 		ln:           ln,
 		inbox:        make(chan sim.Message, inboxCap),
-		conns:        make(map[string]peerConn),
+		conns:        make(map[string]net.Conn),
 		closed:       make(chan struct{}),
 		dialAttempts: 8,
 		dialBackoff:  5 * time.Millisecond,
@@ -106,13 +108,9 @@ func (t *Transport) readLoop(conn net.Conn) {
 // ErrTransportClosed reports a send on a closed transport.
 var ErrTransportClosed = errors.New("cluster: transport closed")
 
-type peerConn struct {
-	conn net.Conn
-	w    *bufio.Writer
-}
-
-// Send encodes m and ships it to the peer at addr, dialing (with retry
-// and exponential backoff) or re-dialing as needed. Writes to one peer
+// Send encodes and frames m in the transport's scratch buffers and ships
+// it to the peer at addr in one write, dialing (with retry and
+// exponential backoff) or re-dialing as needed. Writes to one peer
 // are serialized by the connection cache lock; the per-node send rate is
 // one outbox per paced step, so contention is not a concern.
 func (t *Transport) Send(addr string, m sim.Message) error {
@@ -123,33 +121,34 @@ func (t *Transport) Send(addr string, m sim.Message) error {
 		return err
 	}
 	t.body = body
+	t.frame.Reset()
+	if err := WriteFrame(&t.frame, KindGossip, body); err != nil {
+		return err
+	}
 	select {
 	case <-t.closed:
 		return ErrTransportClosed
 	default:
 	}
-	if pc, ok := t.conns[addr]; ok {
-		if WriteFrame(pc.w, KindGossip, body) == nil && pc.w.Flush() == nil {
+	conn := t.conns[addr]
+	if conn != nil {
+		if _, err := conn.Write(t.frame.Bytes()); err == nil {
 			return nil
 		}
 		// Peer restarted or the connection died: drop and re-dial once
 		// through the same backoff path.
-		pc.conn.Close()
+		conn.Close()
 		delete(t.conns, addr)
 	}
-	conn, err := t.dial(addr)
+	conn, err = t.dial(addr)
 	if err != nil {
 		return err
 	}
-	pc := peerConn{conn: conn, w: bufio.NewWriter(conn)}
-	if err = WriteFrame(pc.w, KindGossip, body); err == nil {
-		err = pc.w.Flush()
-	}
-	if err != nil {
+	if _, err := conn.Write(t.frame.Bytes()); err != nil {
 		conn.Close()
 		return err
 	}
-	t.conns[addr] = pc
+	t.conns[addr] = conn
 	return nil
 }
 
@@ -184,8 +183,8 @@ func (t *Transport) Close() {
 		close(t.closed)
 		t.ln.Close()
 		t.mu.Lock()
-		for addr, pc := range t.conns {
-			pc.conn.Close()
+		for addr, c := range t.conns {
+			c.Close()
 			delete(t.conns, addr)
 		}
 		t.mu.Unlock()

@@ -69,30 +69,24 @@ const (
 	KindReportOK     = 0x17 // registry → node: report accepted
 )
 
-// WriteFrame writes one framed envelope: into w's AvailableBuffer when w
-// has one, so no frame is copied, and as one copied frame otherwise.
+// WriteFrame writes one framed envelope with one Write: built in w's
+// AvailableBuffer when the whole frame fits there, and as one copied
+// frame otherwise.
 func WriteFrame(w io.Writer, kind byte, body []byte) error {
 	if len(body)+envelopeHeader > MaxFrame {
 		return fmt.Errorf("cluster: frame body %d bytes exceeds MaxFrame", len(body))
 	}
-	var hdr []byte
+	var frame []byte
 	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
-		hdr = ab.AvailableBuffer()
+		frame = ab.AvailableBuffer()
 	}
-	if cap(hdr) < 4+envelopeHeader {
-		hdr = make([]byte, 0, 4+envelopeHeader+len(body))
+	if cap(frame) < 4+envelopeHeader+len(body) {
+		frame = make([]byte, 0, 4+envelopeHeader+len(body))
 	}
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(envelopeHeader+len(body)))
-	hdr = binary.BigEndian.AppendUint32(hdr, WireMagic)
-	hdr = append(hdr, WireVersion, kind)
-	if len(body) <= cap(hdr)-len(hdr) {
-		_, err := w.Write(append(hdr, body...))
-		return err
-	}
-	if _, err := w.Write(hdr); err != nil { // appending the body would allocate
-		return err
-	}
-	_, err := w.Write(body)
+	frame = binary.BigEndian.AppendUint32(frame, uint32(envelopeHeader+len(body)))
+	frame = binary.BigEndian.AppendUint32(frame, WireMagic)
+	frame = append(frame, WireVersion, kind)
+	_, err := w.Write(append(frame, body...))
 	return err
 }
 
@@ -206,8 +200,12 @@ type Member struct {
 	MetricsAddr string `json:"metrics_addr,omitempty"`
 }
 
-// JoinMsg registers a node as the member it becomes.
-type JoinMsg = Member
+// JoinMsg registers a node.
+type JoinMsg struct {
+	ID          int    `json:"id"`
+	Addr        string `json:"addr"`
+	MetricsAddr string `json:"metrics_addr,omitempty"`
+}
 
 // JoinOKMsg acknowledges a join: the shared run epoch and the membership
 // known so far.

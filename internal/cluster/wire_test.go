@@ -204,12 +204,14 @@ func errClass(err error) string {
 	return "invalid"
 }
 
-// frameWriters are the three ways WriteFrame writes a frame: built in a
-// bytes.Buffer's free space, header then body into a bufio.Writer too
-// small for most bodies, and one copied frame into a plain writer.
+// frameWriters re-frame through both of WriteFrame's paths: built in a
+// bytes.Buffer with room for the frame, and one copied frame into a plain
+// writer. A 16-byte bufio.Writer takes the first path for bodies of at
+// most 2 bytes and the second for longer ones.
 func frameWriters(kind byte, body []byte) (map[string][]byte, error) {
 	out := make(map[string][]byte)
 	var direct bytes.Buffer
+	direct.Grow(len(body) + 16)
 	if err := cluster.WriteFrame(&direct, kind, body); err != nil {
 		return nil, err
 	}
